@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -235,21 +236,25 @@ func main() {
 	clientNC, serverNC, err := shardNetConfigs(*shardToken, *shardTLSCert, *shardTLSKey, *shardTLSCA, *shardHeartbeat)
 	exitOn(err)
 
-	if *shardServe != "" {
-		err := shard.ListenAndServeNetStop(*shardServe, serverNC, func(a net.Addr) {
-			fmt.Fprintf(os.Stderr, "availsim: serving shard jobs on %s\n", a)
-		}, stopOnSignal())
-		exitOn(err)
-		fmt.Fprintln(os.Stderr, "availsim: shard worker drained, exiting")
-		return
-	}
-	if *shardJoin != "" {
-		fmt.Fprintf(os.Stderr, "availsim: joining shard coordinator %s\n", *shardJoin)
-		if *joinRetry {
-			exitOn(shard.JoinLoop(*shardJoin, *shardCapacity, clientNC, stopOnSignal(), os.Stderr))
+	if *shardServe != "" || *shardJoin != "" {
+		// The long-lived worker modes drain gracefully on the first
+		// SIGINT or SIGTERM: finish the running job, hand queued jobs
+		// back for reassignment, exit 0.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		if *shardServe != "" {
+			err = shard.ListenAndServe(ctx, *shardServe, serverNC, func(a net.Addr) {
+				fmt.Fprintf(os.Stderr, "availsim: serving shard jobs on %s\n", a)
+			})
 		} else {
-			exitOn(shard.JoinStop(*shardJoin, *shardCapacity, clientNC, stopOnSignal()))
+			fmt.Fprintf(os.Stderr, "availsim: joining shard coordinator %s\n", *shardJoin)
+			if *joinRetry {
+				err = shard.JoinLoop(ctx, *shardJoin, *shardCapacity, clientNC, os.Stderr)
+			} else {
+				err = shard.Join(ctx, *shardJoin, *shardCapacity, clientNC)
+			}
 		}
+		exitOn(err)
 		fmt.Fprintln(os.Stderr, "availsim: shard worker drained, exiting")
 		return
 	}
@@ -410,24 +415,27 @@ func runSharded(p sim.ArrayParams, o sim.Options, shards, nlocal int, checkpoint
 		workers = append(workers, local...)
 	}
 	defer closeAll()
-	cfg := shard.Config{
-		Params:     p,
-		Options:    o,
-		Shards:     shards,
-		Workers:    workers,
-		Checkpoint: checkpoint,
-		Log:        os.Stderr,
-	}
+	var source <-chan shard.Worker
 	if listen != "" {
-		ln, source, err := shard.ListenWorkers(listen, serverNC, os.Stderr)
+		ln, joiners, err := shard.ListenWorkers(listen, serverNC, os.Stderr)
 		if err != nil {
 			return sim.Summary{}, err
 		}
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "availsim: accepting shard workers on %s\n", ln.Addr())
-		cfg.WorkerSource = source
+		source = joiners
 	}
-	return shard.Run(cfg)
+	pool, err := shard.NewPool(workers, source, os.Stderr)
+	if err != nil {
+		return sim.Summary{}, err
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(shard.RunSpec{Params: p, Options: o, Shards: shards, Checkpoint: checkpoint}, nil)
+	if err != nil {
+		return sim.Summary{}, err
+	}
+	res, err := tk.Wait()
+	return res.Summary, err
 }
 
 // shardNetConfigs resolves the -shard-* transport flags into the
@@ -458,21 +466,4 @@ func exitOn(err error) {
 		fmt.Fprintln(os.Stderr, "availsim:", err)
 		os.Exit(1)
 	}
-}
-
-// stopOnSignal returns a channel that closes on the first SIGINT or
-// SIGTERM, switching the long-lived worker modes to a graceful drain:
-// finish the running job, hand queued jobs back for reassignment,
-// exit 0.
-func stopOnSignal() <-chan struct{} {
-	stop := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		fmt.Fprintf(os.Stderr, "availsim: %v received, draining\n", s)
-		close(stop)
-		signal.Stop(sig)
-	}()
-	return stop
 }

@@ -30,6 +30,7 @@
 package herald
 
 import (
+	"context"
 	"io"
 	"net"
 
@@ -206,10 +207,6 @@ func Simulate(p SimParams, o SimOptions) (SimSummary, error) { return sim.Run(p,
 // see SimulateRange and MergeSimPartials.
 type SimPartial = sim.Partial
 
-// ShardConfig configures a distributed Monte-Carlo run; see
-// internal/shard for the coordinator/worker architecture.
-type ShardConfig = shard.Config
-
 // ShardWorker executes shard jobs for a coordinator.
 type ShardWorker = shard.Worker
 
@@ -226,12 +223,27 @@ func MaybeShardWorker() { shard.MaybeWorker() }
 // optional non-empty checkpoint path makes the run resumable after a
 // kill. The calling binary's main must start with MaybeShardWorker.
 func SimulateSharded(p SimParams, o SimOptions, shards, workerProcs int, checkpoint string) (SimSummary, error) {
-	return shard.RunLocal(p, o, shards, workerProcs, checkpoint, nil)
+	workers, err := shard.SpawnLocal(workerProcs)
+	if err != nil {
+		return SimSummary{}, err
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	pool, err := shard.NewPool(workers, nil, nil)
+	if err != nil {
+		return SimSummary{}, err
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(shard.RunSpec{Params: p, Options: o, Shards: shards, Checkpoint: checkpoint}, nil)
+	if err != nil {
+		return SimSummary{}, err
+	}
+	res, err := tk.Wait()
+	return res.Summary, err
 }
-
-// ShardedRun executes a fully custom distributed run (remote TCP
-// workers via DialShardWorker, mixed pools, checkpoint logs).
-func ShardedRun(cfg ShardConfig) (SimSummary, error) { return shard.Run(cfg) }
 
 // ShardNetConfig tunes the TCP transport of the shard protocol:
 // shared-token authentication, TLS, connect/handshake timeouts, and
@@ -239,49 +251,47 @@ func ShardedRun(cfg ShardConfig) (SimSummary, error) { return shard.Run(cfg) }
 // zero value is a plaintext, unauthenticated link.
 type ShardNetConfig = shard.NetConfig
 
-// DialShardWorker attaches a remote worker serving the shard protocol
-// over TCP (ServeShardWorkers, or `availsim -shard-serve`).
-func DialShardWorker(addr string) (ShardWorker, error) { return shard.Dial(addr) }
-
-// DialShardWorkerNet is DialShardWorker with explicit transport
-// configuration (TLS, token authentication, timeouts).
+// DialShardWorkerNet attaches a remote worker serving the shard
+// protocol over TCP (ServeShardWorkersNet, or `availsim -shard-serve`)
+// under explicit transport configuration (TLS, token authentication,
+// timeouts; the zero ShardNetConfig is a plaintext link). Hand it to
+// NewShardPool.
 func DialShardWorkerNet(addr string, nc ShardNetConfig) (ShardWorker, error) {
 	return shard.DialNet(addr, nc)
 }
 
-// ServeShardWorkers turns this process into a TCP shard worker
-// serving jobs on addr until the listener fails.
-func ServeShardWorkers(addr string) error { return shard.ListenAndServe(addr, nil) }
-
-// ServeShardWorkersNet is ServeShardWorkers with explicit transport
-// configuration (TLS termination, token authentication, heartbeats).
-func ServeShardWorkersNet(addr string, nc ShardNetConfig) error {
-	return shard.ListenAndServeNet(addr, nc, nil)
+// ServeShardWorkersNet turns this process into a TCP shard worker
+// serving jobs on addr (TLS termination, token authentication and
+// heartbeats per nc) until the listener fails, or until ctx ends —
+// then connections drain gracefully and it returns nil.
+func ServeShardWorkersNet(ctx context.Context, addr string, nc ShardNetConfig) error {
+	return shard.ListenAndServe(ctx, addr, nc, nil)
 }
 
 // JoinShardCoordinator dials a coordinator accepting shard workers
 // (ListenShardWorkers, or `availsim -shard-listen`), registers with
 // the advertised capacity (0 = all local cores), and serves jobs until
-// the coordinator closes the connection.
-func JoinShardCoordinator(addr string, capacity int, nc ShardNetConfig) error {
-	return shard.Join(addr, capacity, nc)
+// the coordinator closes the connection or ctx ends (a graceful
+// drain; both return nil).
+func JoinShardCoordinator(ctx context.Context, addr string, capacity int, nc ShardNetConfig) error {
+	return shard.Join(ctx, addr, capacity, nc)
 }
 
 // JoinShardCoordinatorLoop is the supervised form of
 // JoinShardCoordinator: transport and handshake failures are retried
 // with capped exponential backoff (deterministic jitter, see
 // ShardNetConfig's Retry fields), so the worker outlives coordinator
-// restarts and partitions. A clean coordinator close — or a close of
-// stop — ends the loop with nil. logw (nil = discard) receives one
-// line per failed session.
-func JoinShardCoordinatorLoop(addr string, capacity int, nc ShardNetConfig, stop <-chan struct{}, logw io.Writer) error {
-	return shard.JoinLoop(addr, capacity, nc, stop, logw)
+// restarts and partitions. A clean coordinator close — or the end of
+// ctx — ends the loop with nil. logw (nil = discard) receives one line
+// per failed session.
+func JoinShardCoordinatorLoop(ctx context.Context, addr string, capacity int, nc ShardNetConfig, logw io.Writer) error {
+	return shard.JoinLoop(ctx, addr, capacity, nc, logw)
 }
 
 // ListenShardWorkers accepts workers joining via JoinShardCoordinator
 // (or `availsim -shard-join`) on addr, delivering each on the returned
-// channel, ready for ShardConfig.WorkerSource. Close the listener to
-// stop accepting and close the channel.
+// channel, ready to be NewShardPool's elastic source. Close the
+// listener to stop accepting and close the channel.
 func ListenShardWorkers(addr string, nc ShardNetConfig) (net.Listener, <-chan ShardWorker, error) {
 	return shard.ListenWorkers(addr, nc, nil)
 }

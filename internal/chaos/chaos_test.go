@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -214,6 +215,16 @@ func TestPartitionSuppressesClose(t *testing.T) {
 	case srvConn = <-accepted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("proxy never reached the server")
+	}
+	// The server can accept before the proxy registers the link, and
+	// Inject only reaches registered links; a byte through the proxy
+	// proves the link is live.
+	if _, err := c.Write([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	srvConn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(srvConn, make([]byte, 1)); err != nil {
+		t.Fatalf("byte never crossed the proxy: %v", err)
 	}
 	p.Inject(chaos.Partition, chaos.Up, 5*time.Second)
 	srvConn.Close()

@@ -344,3 +344,48 @@ func TestReadyzReflectsState(t *testing.T) {
 		t.Errorf("draining /readyz body %q does not say so", raw)
 	}
 }
+
+// TestHistogramBinsBounded pins the bin ceiling at the HTTP boundary:
+// a ~300-byte request asking for millions of histogram bins is refused
+// with 400 before any shard job is dispatched.
+func TestHistogramBinsBounded(t *testing.T) {
+	bw := newBlockingWorker()
+	close(bw.release) // a run that slipped through would complete, not hang
+	hs, _, _ := newTestServer(t, serve.Config{}, bw)
+	o := runOpts(testOptions)
+	o.Iterations = 64
+	o.HistogramBins = 4000000
+	resp, _ := postRun(t, hs.URL, wireRequest(t, testParams, o, 0))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("histogram_bins 4000000: status = %d, want 400", resp.StatusCode)
+	}
+	if n := bw.jobCount(); n != 0 {
+		t.Errorf("rejected request still dispatched %d shard jobs", n)
+	}
+}
+
+// postOversized sends a syntactically plausible body just over the
+// 1 MiB request cap straight to the handler and returns the status.
+func postOversized(t *testing.T, path, head, tail string) int {
+	t.Helper()
+	_, srv, _ := newTestServer(t, serve.Config{})
+	body := head + strings.Repeat(" ", 1<<20) + tail
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec.Code
+}
+
+// TestRunBodyTooLarge pins the /v1/run body cap: an oversized body is
+// refused with 413 instead of being buffered whole.
+func TestRunBodyTooLarge(t *testing.T) {
+	if code := postOversized(t, "/v1/run", `{"options": {"iterations": 10`, `}}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /v1/run body: status = %d, want 413", code)
+	}
+}
+
+// TestSweepBodyTooLarge pins the /v1/sweep body cap.
+func TestSweepBodyTooLarge(t *testing.T) {
+	if code := postOversized(t, "/v1/sweep", `{"points": [`, `]}`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /v1/sweep body: status = %d, want 413", code)
+	}
+}

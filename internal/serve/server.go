@@ -6,6 +6,7 @@ import (
 	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -525,6 +526,28 @@ func (s *Server) flightOrCached(ctx ctxDone, fp, client string, spec *shard.RunS
 	return s.joinOrLead(fp, spec, release), nil, nil
 }
 
+// maxBodyBytes caps a /v1/run or /v1/sweep request body. A run request
+// is a few hundred bytes and a full default-size sweep a few tens of
+// kilobytes, so the cap only bounds what a hostile body can make the
+// decoder buffer.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body into v, rejecting unknown
+// fields with 400 and bodies over maxBodyBytes with 413.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{code: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+		}
+		return &httpError{code: http.StatusBadRequest, msg: err.Error()}
+	}
+	return nil
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -532,10 +555,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, &httpError{code: http.StatusBadRequest, msg: err.Error()})
+	if herr := decodeBody(w, r, &req); herr != nil {
+		s.writeError(w, herr)
 		return
 	}
 	spec, fp, err := compile(&req)
@@ -660,10 +681,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, &httpError{code: http.StatusBadRequest, msg: err.Error()})
+	if herr := decodeBody(w, r, &req); herr != nil {
+		s.writeError(w, herr)
 		return
 	}
 	if len(req.Points) == 0 {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func TestAdaptiveShardedMatchesInProcess(t *testing.T) {
 		want := summaryBytes(t, base)
 		for _, shards := range []int{1, 2, 7} {
 			workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
-			got, st, err := RunStats(Config{Params: p, Options: o, Shards: shards, Workers: workers})
+			got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: shards}, workers, nil, nil)
 			if err != nil {
 				t.Fatalf("%v shards=%d: %v", pol, shards, err)
 			}
@@ -88,7 +89,7 @@ func TestAdaptiveWaveKilledWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 4, Workers: workers, Log: &log})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 4}, workers, nil, &log)
 	if err != nil {
 		t.Fatalf("%v (log: %s)", err, log.String())
 	}
@@ -117,10 +118,7 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 
 	// First attempt: the only worker dies after 2 shards, failing the
 	// run — but those shards are checkpointed.
-	_, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
-		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 2}},
-	})
+	_, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 2, Checkpoint: cpPath}, []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 2}}, nil, nil)
 	if err == nil {
 		t.Fatal("expected first attempt to fail")
 	}
@@ -128,10 +126,7 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 		t.Fatalf("first attempt computed %d shards, want 2", st.Computed)
 	}
 
-	got, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 2, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +152,7 @@ func TestAdaptiveCheckpointTornTail(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "adaptive.ckpt")
 
 	// Interrupted first attempt leaves a partial checkpoint.
-	if _, _, err := RunStats(Config{
-		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
-		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}},
-	}); err == nil {
+	if _, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 2, Checkpoint: cpPath}, []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}}, nil, nil); err == nil {
 		t.Fatal("expected interrupted attempt to fail")
 	}
 
@@ -181,11 +173,7 @@ func TestAdaptiveCheckpointTornTail(t *testing.T) {
 	}
 
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 2, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-		Log:     &log,
-	})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 2, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +189,29 @@ func TestAdaptiveCheckpointTornTail(t *testing.T) {
 	if string(summaryBytes(t, got)) != string(summaryBytes(t, base)) {
 		t.Error("summary diverged after torn adaptive checkpoint")
 	}
+}
+
+// runAll submits every spec to one fresh pool before waiting on any,
+// so the runs pipeline, and returns their results in spec order.
+func runAll(specs []RunSpec, workers []Worker) ([]RunResult, error) {
+	pool, err := NewPool(workers, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Close()
+	tickets := make([]*Ticket, len(specs))
+	for i, spec := range specs {
+		if tickets[i], err = pool.Submit(spec, nil); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]RunResult, len(specs))
+	for i, tk := range tickets {
+		if out[i], err = tk.Wait(); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // TestPipelineMatchesSequential pins the sweep pipelining contract:
@@ -223,7 +234,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 		specs = append(specs, RunSpec{Params: p, Options: o, Shards: 3})
 	}
 	workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
-	res, err := RunPipeline(specs, workers, nil)
+	res, err := runAll(specs, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +270,10 @@ func TestPipelineMixedAdaptiveFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	workers := []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}
-	res, err := RunPipeline([]RunSpec{
+	res, err := runAll([]RunSpec{
 		{Params: pFixed, Options: oFixed, Shards: 2},
 		{Params: pAdapt, Options: oAdapt, Shards: 2},
-	}, workers, nil)
+	}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,9 +470,9 @@ func TestAdaptivePartition(t *testing.T) {
 func TestAdaptiveTCPWorker(t *testing.T) {
 	addr := make(chan net.Addr, 1)
 	go func() {
-		_ = ListenAndServe("127.0.0.1:0", func(a net.Addr) { addr <- a })
+		_ = ListenAndServe(context.Background(), "127.0.0.1:0", NetConfig{}, func(a net.Addr) { addr <- a })
 	}()
-	w, err := Dial((<-addr).String())
+	w, err := DialNet((<-addr).String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +484,7 @@ func TestAdaptiveTCPWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 2, Workers: []Worker{w}})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 2}, []Worker{w}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +577,7 @@ func TestAdaptiveHeterogeneousPoolBitIdentical(t *testing.T) {
 			NewInProcessWorker("wide", 3),
 			NewInProcessWorker("narrow", 1),
 		}
-		got, st, err := RunStats(Config{Params: p, Options: o, Workers: workers})
+		got, st, err := runOne(RunSpec{Params: p, Options: o}, workers, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -65,7 +66,7 @@ func TestChaosPartitionMidWaveByteIdentical(t *testing.T) {
 	}
 	defer proxy.Close()
 	joinDone := make(chan error, 1)
-	go func() { joinDone <- JoinLoop(proxy.Addr(), 1, nc, nil, io.Discard) }()
+	go func() { joinDone <- JoinLoop(context.Background(), proxy.Addr(), 1, nc, io.Discard) }()
 
 	logw := &syncLog{}
 	pool, err := NewPool(nil, joiners, logw)
@@ -160,7 +161,7 @@ func TestChaosCoordinatorRestartRejoin(t *testing.T) {
 	}
 	defer proxy.Close()
 	joinDone := make(chan error, 1)
-	go func() { joinDone <- JoinLoop(proxy.Addr(), 1, nc, nil, io.Discard) }()
+	go func() { joinDone <- JoinLoop(context.Background(), proxy.Addr(), 1, nc, io.Discard) }()
 
 	poolA, err := NewPool(nil, joinersA, nil)
 	if err != nil {
@@ -235,10 +236,10 @@ func TestChaosStallTripsHeartbeatDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
-	stop := make(chan struct{})
-	defer close(stop)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	joinErr := make(chan error, 1)
-	go func() { joinErr <- JoinStop(proxy.Addr(), 1, nc, stop) }()
+	go func() { joinErr <- Join(ctx, proxy.Addr(), 1, nc) }()
 	var w Worker
 	select {
 	case w = <-joiners:

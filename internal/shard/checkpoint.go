@@ -35,13 +35,13 @@ type checkpointRecord struct {
 	Partials []sim.Partial `json:"partials"`
 }
 
-// Fingerprint binds a checkpoint to one exact run configuration: the
+// fingerprint binds a checkpoint to one exact run configuration: the
 // wire-encoded parameters, the result-affecting options, and the
 // shard partition, hashed with FNV-1a over their canonical JSON.
 // Schedule-only knobs (Workers) are excluded — results are
 // partition-independent, so a run may resume on a box with a
 // different worker count.
-func Fingerprint(p WireParams, o sim.Options, shards int) string {
+func fingerprint(p WireParams, o sim.Options, shards int) string {
 	o.Workers = 0
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)

@@ -59,14 +59,10 @@ func TestKilledWorkerReassigned(t *testing.T) {
 	}
 	var log bytes.Buffer
 	died := make(chan struct{})
-	got, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 8,
-		Workers: []Worker{
-			&flakyWorker{inner: NewInProcessWorker("w0", 1), failAfter: 0, died: died},
-			&gatedWorker{inner: NewInProcessWorker("w1", 1), gate: died},
-		},
-		Log: &log,
-	})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 8}, []Worker{
+		&flakyWorker{inner: NewInProcessWorker("w0", 1), failAfter: 0, died: died},
+		&gatedWorker{inner: NewInProcessWorker("w1", 1), gate: died},
+	}, nil, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +82,10 @@ func TestKilledWorkerReassigned(t *testing.T) {
 func TestAllWorkersDead(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	_, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 8,
-		Workers: []Worker{
-			&flakyWorker{inner: NewInProcessWorker("w0", 1), failAfter: 1},
-			&flakyWorker{inner: NewInProcessWorker("w1", 1), failAfter: 2},
-		},
-	})
+	_, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 8}, []Worker{
+		&flakyWorker{inner: NewInProcessWorker("w0", 1), failAfter: 1},
+		&flakyWorker{inner: NewInProcessWorker("w1", 1), failAfter: 2},
+	}, nil, nil)
 	if err == nil {
 		t.Fatal("expected error when all workers die")
 	}
@@ -129,7 +122,7 @@ func TestKilledProcessWorkerReassigned(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 6, Workers: workers, Log: &log})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 6}, workers, nil, &log)
 	if err != nil {
 		t.Fatalf("%v (log: %s)", err, log.String())
 	}
@@ -181,7 +174,7 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	defer w.Close()
 
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{Params: p, Options: o, Shards: 5, Workers: []Worker{w}, Log: &log})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 5}, []Worker{w}, nil, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +214,7 @@ func TestMalformedResultRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 4,
-		Workers: []Worker{&corruptWorker{inner: NewInProcessWorker("w", 1)}},
-		Log:     &log,
-	})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 4}, []Worker{&corruptWorker{inner: NewInProcessWorker("w", 1)}}, nil, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +243,7 @@ func TestCheckpointResume(t *testing.T) {
 
 	// First attempt: the only worker dies after 3 of 8 shards, so the
 	// run fails — but the 3 shards are checkpointed.
-	_, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 8, Checkpoint: cpPath,
-		Workers: []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}},
-	})
+	_, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 8, Checkpoint: cpPath}, []Worker{&flakyWorker{inner: NewInProcessWorker("w", 1), failAfter: 3}}, nil, nil)
 	if err == nil {
 		t.Fatal("expected first attempt to fail")
 	}
@@ -266,10 +252,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Resume with a healthy worker: only the remaining 5 recompute.
-	got, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 8, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 8, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +277,7 @@ func TestCheckpointShortWrite(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
 
 	// Complete a full run to get a valid checkpoint of all 6 shards.
-	if _, _, err := RunStats(Config{
-		Params: p, Options: o, Shards: 6, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	}); err != nil {
+	if _, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 6, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -318,11 +298,7 @@ func TestCheckpointShortWrite(t *testing.T) {
 	}
 
 	var log bytes.Buffer
-	got, st, err := RunStats(Config{
-		Params: p, Options: o, Shards: 6, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-		Log:     &log,
-	})
+	got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 6, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +319,7 @@ func TestCheckpointShortWrite(t *testing.T) {
 func TestMalformedResultsBounded(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	_, _, err := RunStats(Config{
-		Params: p, Options: o, Shards: 2,
-		Workers: []Worker{&alwaysCorruptWorker{inner: NewInProcessWorker("w", 1)}},
-	})
+	_, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 2}, []Worker{&alwaysCorruptWorker{inner: NewInProcessWorker("w", 1)}}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "malformed") {
 		t.Fatalf("expected malformed-results abort, got %v", err)
 	}
@@ -373,18 +346,12 @@ func TestCheckpointResumeDifferentWorkers(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, _, err := RunStats(Config{
-		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	}); err != nil {
+	if _, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	o2 := o
 	o2.Workers = 7
-	_, st, err := RunStats(Config{
-		Params: p, Options: o2, Shards: 4, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	})
+	_, st, err := runOne(RunSpec{Params: p, Options: o2, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil)
 	if err != nil {
 		t.Fatalf("resume with different Workers refused: %v", err)
 	}
@@ -419,18 +386,12 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, _, err := RunStats(Config{
-		Params: p, Options: o, Shards: 4, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	}); err != nil {
+	if _, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	o2 := o
 	o2.Seed++
-	_, _, err := RunStats(Config{
-		Params: p, Options: o2, Shards: 4, Checkpoint: cpPath,
-		Workers: []Worker{NewInProcessWorker("w", 1)},
-	})
+	_, _, err := runOne(RunSpec{Params: p, Options: o2, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("expected fingerprint mismatch error, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -65,16 +66,17 @@ func (b *joinBackoff) reset() { b.attempt = 0 }
 // deadline, auth rejection) — reconnects with capped exponential
 // backoff and deterministic jitter (NetConfig.Retry*). A clean
 // coordinator close (EOF between frames: the coordinator finished and
-// closed the link) ends the loop with nil, as does a close of stop;
-// every other outcome is retried forever, so a worker box outlives
-// coordinator restarts and network partitions. A session that got past
+// closed the link) ends the loop with nil, as does the end of ctx
+// (after the graceful drain Join describes); every other outcome is
+// retried forever, so a worker box outlives coordinator restarts and
+// network partitions. A session that got past
 // the handshake resets the backoff ladder, so a long-healthy worker
 // redials quickly after a one-off drop instead of paying the
 // accumulated penalty.
 //
 // logw (nil = discard) receives one line per failed session and per
 // reconnect delay.
-func JoinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}, logw io.Writer) error {
+func JoinLoop(ctx context.Context, addr string, capacity int, nc NetConfig, logw io.Writer) error {
 	if logw == nil {
 		logw = io.Discard
 	}
@@ -86,8 +88,8 @@ func JoinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}, log
 	}
 	backoff := newJoinBackoff(nc.RetryBase, nc.RetryMax, seed)
 	for {
-		joined, err := joinOnce(addr, capacity, nc, stop)
-		if stopped(stop) {
+		joined, err := joinOnce(ctx, addr, capacity, nc)
+		if ctx.Err() != nil {
 			return nil
 		}
 		if err == nil {
@@ -104,22 +106,9 @@ func JoinLoop(addr string, capacity int, nc NetConfig, stop <-chan struct{}, log
 		d := backoff.next()
 		fmt.Fprintf(logw, "shard: join %s: %v; reconnecting in %s\n", addr, err, d.Round(time.Millisecond))
 		select {
-		case <-stop:
+		case <-ctx.Done():
 			return nil
 		case <-time.After(d):
 		}
-	}
-}
-
-// stopped reports whether the stop channel is closed.
-func stopped(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net"
 	"strings"
@@ -76,8 +77,8 @@ func (l *syncLog) String() string {
 
 // TestJoinLoopRetriesUntilStopped points a supervised joiner at an
 // address nobody listens on: every dial fails, the loop must keep
-// rescheduling (never return an error), and a stop close must end it
-// with nil.
+// rescheduling (never return an error), and cancelling its context
+// must end it with nil.
 func TestJoinLoopRetriesUntilStopped(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -86,10 +87,11 @@ func TestJoinLoopRetriesUntilStopped(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // free the port: dials now fail fast
 	nc := NetConfig{RetryBase: 5 * time.Millisecond, RetryMax: 20 * time.Millisecond, RetrySeed: 1}
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	logw := &syncLog{}
 	done := make(chan error, 1)
-	go func() { done <- JoinLoop(addr, 1, nc, stop, logw) }()
+	go func() { done <- JoinLoop(ctx, addr, 1, nc, logw) }()
 	deadline := time.Now().Add(10 * time.Second)
 	for strings.Count(logw.String(), "reconnecting in") < 3 {
 		if time.Now().After(deadline) {
@@ -97,14 +99,14 @@ func TestJoinLoopRetriesUntilStopped(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	close(stop)
+	cancel()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatalf("stopped join loop returned %v, want nil", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("join loop did not honor stop")
+		t.Fatal("join loop did not honor cancellation")
 	}
 }
 
@@ -127,7 +129,7 @@ func TestJoinLoopCleanCloseEndsLoop(t *testing.T) {
 	}
 	defer ln.Close()
 	done := make(chan error, 1)
-	go func() { done <- JoinLoop(ln.Addr().String(), 2, nc, nil, io.Discard) }()
+	go func() { done <- JoinLoop(context.Background(), ln.Addr().String(), 2, nc, io.Discard) }()
 
 	pool, err := NewPool(nil, joiners, nil)
 	if err != nil {

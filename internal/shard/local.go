@@ -6,8 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-
-	"herald/internal/sim"
 )
 
 // defaultProcs returns the local worker-process count: one per core.
@@ -113,31 +111,4 @@ func SpawnLocal(n int) ([]Worker, error) {
 		})
 	}
 	return workers, nil
-}
-
-// RunLocal is the one-call local sharding entry point: it spawns
-// procs sibling worker processes (default: GOMAXPROCS), partitions the
-// run into shards pieces (default: one per worker), executes, and
-// cleans the workers up. checkpoint may be empty.
-func RunLocal(p sim.ArrayParams, o sim.Options, shards, procs int, checkpoint string, logw io.Writer) (sim.Summary, error) {
-	if procs < 1 {
-		procs = defaultProcs()
-	}
-	workers, err := SpawnLocal(procs)
-	if err != nil {
-		return sim.Summary{}, err
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	return Run(Config{
-		Params:     p,
-		Options:    o,
-		Shards:     shards,
-		Workers:    workers,
-		Checkpoint: checkpoint,
-		Log:        logw,
-	})
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -32,7 +33,7 @@ type NetConfig struct {
 	// with TLS for that.
 	Token string
 	// TLS, when non-nil, wraps the connection: as tls.Client config on
-	// dialing sides (Dial, Join) and tls.Server config on listening
+	// dialing sides (DialNet, Join) and tls.Server config on listening
 	// sides (ListenAndServe, ListenWorkers). See ServerTLS/ClientTLS
 	// for building one from PEM files.
 	TLS *tls.Config
@@ -41,7 +42,7 @@ type NetConfig struct {
 	// heartbeatDeadlineFactor times the advertised interval, so a
 	// half-open connection is detected within that bound. Default 3s.
 	HeartbeatInterval time.Duration
-	// DialTimeout bounds the TCP connect of Dial and Join (the OS
+	// DialTimeout bounds the TCP connect of DialNet and Join (the OS
 	// default can be minutes for an unroutable address). Default 10s.
 	DialTimeout time.Duration
 	// HandshakeTimeout bounds the hello exchange (and TLS handshake)
@@ -350,18 +351,13 @@ func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTran
 // Coordinator-dials-worker mode
 // ---------------------------------------------------------------------
 
-// Dial attaches a remote TCP worker (a process running ListenAndServe,
-// e.g. `availsim -shard-serve`) with default network settings: bounded
-// connect and handshake timeouts, heartbeats, no TLS, no token. Jobs
-// sent to it use all of the remote machine's cores.
-func Dial(addr string) (Worker, error) {
-	return DialNet(addr, NetConfig{})
-}
-
-// DialNet is Dial with explicit transport configuration (TLS, token
-// auth, timeouts). The connect is bounded by nc.DialTimeout and the
-// handshake by nc.HandshakeTimeout, so an unroutable or wedged address
-// fails quickly with the address named in the error.
+// DialNet attaches a remote TCP worker (a process running
+// ListenAndServe, e.g. `availsim -shard-serve`) under the given
+// transport configuration; the zero NetConfig is a plaintext,
+// unauthenticated link. The connect is bounded by nc.DialTimeout and
+// the handshake by nc.HandshakeTimeout, so an unroutable or wedged
+// address fails quickly with the address named in the error. Jobs sent
+// to the worker use all of the remote machine's cores.
 func DialNet(addr string, nc NetConfig) (Worker, error) {
 	nc = nc.withDefaults()
 	nc.TLS = clientTLSFor(nc.TLS, addr)
@@ -376,30 +372,19 @@ func DialNet(addr string, nc NetConfig) (Worker, error) {
 	return newRemoteWorker("tcp:"+addr, t, peer.Capacity), nil
 }
 
-// ListenAndServe runs a plaintext, unauthenticated TCP worker: it
-// accepts connections on addr and serves the shard protocol on each,
-// using every local core per job unless the job says otherwise. The
+// ListenAndServe runs a TCP worker: it accepts connections on addr and
+// serves the shard protocol on each, using every local core per job
+// unless the job says otherwise. nc configures TLS termination, token
+// authentication and heartbeat cadence; handshake failures (bad token,
+// version skew) drop the connection without serving a single job. The
 // ready callback, when non-nil, receives the bound address before
 // accepting begins (useful with ":0").
-func ListenAndServe(addr string, ready func(net.Addr)) error {
-	return ListenAndServeNet(addr, NetConfig{}, ready)
-}
-
-// ListenAndServeNet is ListenAndServe with explicit transport
-// configuration: TLS termination, token authentication, and heartbeat
-// cadence. Handshake failures (bad token, version skew) drop the
-// connection without serving a single job.
-func ListenAndServeNet(addr string, nc NetConfig, ready func(net.Addr)) error {
-	return ListenAndServeNetStop(addr, nc, ready, nil)
-}
-
-// ListenAndServeNetStop is ListenAndServeNet with graceful shutdown:
-// when stop closes, the listener stops accepting, every connection
-// finishes the job it is executing, hands queued jobs back to its
+//
+// When ctx ends, the listener stops accepting, every connection
+// finishes the job it is executing and hands queued jobs back to its
 // coordinator as cancelled (they are reassigned to surviving workers),
-// and the function returns nil once all connections have drained. nil
-// stop serves forever.
-func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop <-chan struct{}) error {
+// and ListenAndServe returns nil once all connections have drained.
+func ListenAndServe(ctx context.Context, addr string, nc NetConfig, ready func(net.Addr)) error {
 	nc = nc.withDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -409,25 +394,15 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 	if ready != nil {
 		ready(ln.Addr())
 	}
-	if stop != nil {
-		go func() {
-			<-stop
-			ln.Close() // unblocks Accept
-		}()
-	}
+	defer context.AfterFunc(ctx, func() { ln.Close() })() // unblocks Accept
 	var conns sync.WaitGroup
+	defer conns.Wait() // every connection drains before exit
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if stop != nil {
-				select {
-				case <-stop:
-					conns.Wait() // every connection drains before exit
-					return nil
-				default:
-				}
+			if ctx.Err() != nil {
+				return nil
 			}
-			conns.Wait()
 			return err
 		}
 		conns.Add(1)
@@ -439,7 +414,7 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 				return
 			}
 			defer t.Close()
-			_ = serveJobsStop(t, stop)
+			_ = serveJobs(ctx, t)
 		}(conn)
 	}
 }
@@ -453,17 +428,15 @@ func ListenAndServeNetStop(addr string, nc NetConfig, ready func(net.Addr), stop
 // (0 = all local cores), and serves shard jobs on the connection until
 // the coordinator closes it. It returns nil on a clean close — the
 // coordinator finished — and the transport or handshake error
-// otherwise.
-func Join(addr string, capacity int, nc NetConfig) error {
-	return JoinStop(addr, capacity, nc, nil)
-}
-
-// JoinStop is Join with graceful shutdown: when stop closes, the worker
-// finishes its running job, hands queued jobs back to the coordinator
-// as cancelled (they are reassigned), closes the connection and returns
-// nil. nil stop serves until the coordinator closes the connection.
-func JoinStop(addr string, capacity int, nc NetConfig, stop <-chan struct{}) error {
-	_, err := joinOnce(addr, capacity, nc, stop)
+// otherwise. When ctx ends, the worker drains gracefully: it finishes
+// its running job, hands queued jobs back to the coordinator as
+// cancelled (they are reassigned), closes the connection and returns
+// nil.
+func Join(ctx context.Context, addr string, capacity int, nc NetConfig) error {
+	_, err := joinOnce(ctx, addr, capacity, nc)
+	if ctx.Err() != nil {
+		return nil
+	}
 	return err
 }
 
@@ -474,10 +447,10 @@ func JoinStop(addr string, capacity int, nc NetConfig, stop <-chan struct{}) err
 // joined=true is a session that broke mid-stream (mid-frame cut,
 // stalled peer, read deadline); an error with joined=false never got
 // past dialing or the hello exchange.
-func joinOnce(addr string, capacity int, nc NetConfig, stop <-chan struct{}) (joined bool, err error) {
+func joinOnce(ctx context.Context, addr string, capacity int, nc NetConfig) (joined bool, err error) {
 	nc = nc.withDefaults()
 	nc.TLS = clientTLSFor(nc.TLS, addr)
-	conn, err := net.DialTimeout("tcp", addr, nc.DialTimeout)
+	conn, err := (&net.Dialer{Timeout: nc.DialTimeout}).DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return false, fmt.Errorf("shard: join %s: %w", addr, err)
 	}
@@ -486,7 +459,7 @@ func joinOnce(addr string, capacity int, nc NetConfig, stop <-chan struct{}) (jo
 		return false, fmt.Errorf("shard: join %s: %w", addr, err)
 	}
 	defer t.Close()
-	return true, serveJobsStop(t, stop)
+	return true, serveJobs(ctx, t)
 }
 
 // workerCapacity resolves a worker's advertised capacity: an explicit
@@ -501,8 +474,8 @@ func workerCapacity(capacity int) int {
 // ListenWorkers opens a coordinator-side registration listener:
 // workers that Join addr (and pass authentication) are wrapped as
 // remote Workers and delivered on the returned channel, ready to be
-// handed to Config.WorkerSource / RunPipelineSource. Closing the
-// listener stops the accept loop and closes the channel. logw (nil =
+// handed to NewPool as its elastic source. Closing the listener stops
+// the accept loop and closes the channel. logw (nil =
 // discard) receives one line per accepted or rejected registration.
 func ListenWorkers(addr string, nc NetConfig, logw io.Writer) (net.Listener, <-chan Worker, error) {
 	nc = nc.withDefaults()

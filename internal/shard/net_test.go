@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/x509"
@@ -21,14 +22,14 @@ import (
 	"herald/internal/sim"
 )
 
-// startWorkerServer runs ListenAndServeNet on a free port and returns
+// startWorkerServer runs ListenAndServe on a free port and returns
 // the bound address. The serve goroutine leaks for the test's
 // lifetime, like the plaintext TCP tests.
 func startWorkerServer(t *testing.T, nc NetConfig) string {
 	t.Helper()
 	ready := make(chan net.Addr, 1)
 	go func() {
-		if err := ListenAndServeNet("127.0.0.1:0", nc, func(a net.Addr) { ready <- a }); err != nil {
+		if err := ListenAndServe(context.Background(), "127.0.0.1:0", nc, func(a net.Addr) { ready <- a }); err != nil {
 			// The listener lives until process exit; report late
 			// failures without t (the test may be done).
 			fmt.Fprintln(os.Stderr, "test worker server:", err)
@@ -49,11 +50,11 @@ func runWith(t *testing.T, workers []Worker, source <-chan Worker, logw io.Write
 	t.Helper()
 	p := testParams(sim.Conventional)
 	o := testOptions()
-	res, err := RunPipelineSource([]RunSpec{{Params: p, Options: o, Shards: 4}}, workers, source, logw)
+	sum, st, err := runOne(RunSpec{Params: p, Options: o, Shards: 4}, workers, source, logw)
 	if err != nil {
 		t.Fatalf("sharded run: %v", err)
 	}
-	return summaryBytes(t, res[0].Summary), res[0].Stats
+	return summaryBytes(t, sum), st
 }
 
 // baselineBytes is the single-process reference for byte-identity.
@@ -223,12 +224,27 @@ func TestJoinRoundTrip(t *testing.T) {
 	joinErr := make(chan error, joiners)
 	for i := 0; i < joiners; i++ {
 		go func() {
-			joinErr <- Join(ln.Addr().String(), 1, nc)
+			joinErr <- Join(context.Background(), ln.Addr().String(), 1, nc)
 		}()
 	}
 
-	got, _ := runWith(t, nil, source, io.Discard)
-	if !bytes.Equal(got, baselineBytes(t)) {
+	pool, err := NewPool(nil, source, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Admit every joiner before the run starts: one that registered only
+	// after the pool closed would never be released by it.
+	waitLive(t, pool, joiners*(&remoteWorker{}).PipelineDepth())
+	tk, err := pool.Submit(RunSpec{Params: testParams(sim.Conventional), Options: testOptions(), Shards: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.Wait()
+	pool.Close()
+	if err != nil {
+		t.Fatalf("sharded run: %v", err)
+	}
+	if !bytes.Equal(summaryBytes(t, res.Summary), baselineBytes(t)) {
 		t.Error("joined-worker run is not byte-identical to the single-process baseline")
 	}
 	for i := 0; i < joiners; i++ {
@@ -255,7 +271,7 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 	defer ln.Close()
 
-	err = Join(ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second})
+	err = Join(context.Background(), ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second})
 	if err == nil {
 		t.Fatal("join with wrong token succeeded")
 	}
@@ -264,7 +280,7 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- Join(ln.Addr().String(), 1, nc) }()
+	go func() { done <- Join(context.Background(), ln.Addr().String(), 1, nc) }()
 	got, _ := runWith(t, nil, source, io.Discard)
 	if !bytes.Equal(got, baselineBytes(t)) {
 		t.Error("run after rejected joiner is not byte-identical to the baseline")
@@ -437,7 +453,7 @@ func TestElasticJoinerFinishesAfterPoolDeath(t *testing.T) {
 	joinErr := make(chan error, 1)
 	go func() {
 		time.Sleep(8 * hb)
-		joinErr <- Join(ln.Addr().String(), 1, nc)
+		joinErr <- Join(context.Background(), ln.Addr().String(), 1, nc)
 	}()
 
 	got, stats := runWith(t, []Worker{frozen}, source, io.Discard)

@@ -34,13 +34,15 @@ type RunProgress struct {
 	Final bool
 }
 
-// Pool is a persistent shard-execution pool: the dispatcher of
-// RunPipeline kept alive across runs, so a long-lived process (a
-// simulation server) can submit runs as they arrive and share one
-// worker set — local processes, remote dials, elastic joiners — among
-// all of them. Runs are prioritized in submission order exactly as
-// RunPipeline prioritizes its specs; every run's Summary is
-// bit-identical to executing it alone.
+// Pool is the shard-execution engine: a dispatcher over one worker set
+// — local processes, remote dials, elastic joiners — to which runs are
+// submitted as they arrive. It is the only way to run work on shard
+// workers; a one-shot run is NewPool, Submit, Ticket.Wait, Close, and a
+// long-lived process (a simulation server) keeps one pool for its
+// lifetime. Runs are pipelined and prioritized in submission order: a
+// worker takes run k+1 work only when run k has nothing queued, so run
+// k+1 starts while run k's tail shards (or adaptive drain) still
+// execute. Every run's Summary is bit-identical to executing it alone.
 //
 // The zero value is not usable; construct with NewPool.
 type Pool struct {
@@ -50,7 +52,7 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// PoolOptions tunes a persistent pool beyond its worker set.
+// PoolOptions tunes a pool beyond its worker set.
 type PoolOptions struct {
 	// LocalFallback, when positive, arms degraded-mode execution: if
 	// the pool ever drains completely (every worker dead or departed),
@@ -61,11 +63,16 @@ type PoolOptions struct {
 	LocalFallback int
 }
 
-// NewPool builds a persistent pool over the initial workers plus an
-// optional elastic source (see RunPipelineSource for the source
-// contract). The initial workers remain the caller's to close — after
-// Close returns; workers delivered by source are closed by the pool.
-// Wave-sizing weights are snapshotted from the initial workers.
+// NewPool builds a pool over the initial workers (which may be empty)
+// plus an optional elastic source: every Worker delivered on source
+// joins the pool and starts taking shards. While source is open, a pool
+// whose last worker died parks its runs until a joiner arrives instead
+// of failing them; once source is closed (or when it is nil) a pool
+// without live workers is dead. The initial workers remain the
+// caller's to close — after Close returns; workers delivered by source
+// are closed by the pool. Wave-sizing weights are snapshotted from the
+// initial workers. logw (nil = discard) receives progress warnings:
+// torn checkpoints, dead workers, duplicate results.
 func NewPool(workers []Worker, source <-chan Worker, logw io.Writer) (*Pool, error) {
 	return NewPoolOptions(workers, source, logw, PoolOptions{})
 }
@@ -73,14 +80,6 @@ func NewPool(workers []Worker, source <-chan Worker, logw io.Writer) (*Pool, err
 // NewPoolOptions is NewPool with explicit tuning (degraded-mode local
 // fallback).
 func NewPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, opts PoolOptions) (*Pool, error) {
-	return newPoolOptions(workers, source, logw, true, opts)
-}
-
-func newPool(workers []Worker, source <-chan Worker, logw io.Writer, persistent bool) (*Pool, error) {
-	return newPoolOptions(workers, source, logw, persistent, PoolOptions{})
-}
-
-func newPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, persistent bool, opts PoolOptions) (*Pool, error) {
 	if len(workers) == 0 && source == nil && opts.LocalFallback <= 0 {
 		return nil, fmt.Errorf("shard: no workers")
 	}
@@ -90,14 +89,13 @@ func newPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, pers
 	d := &dispatcher{
 		logw:       logw,
 		start:      time.Now(),
-		persistent: persistent,
 		jobIndex:   make(map[int]jobKey),
 		assigned:   make(map[int]*assignment),
 		deadWorker: make(map[Worker]bool),
 		sourceOpen: source != nil,
 		done:       make(chan struct{}),
 	}
-	if persistent && opts.LocalFallback > 0 {
+	if opts.LocalFallback > 0 {
 		d.fallback = NewInProcessWorker("local-fallback", opts.LocalFallback)
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -123,17 +121,10 @@ func newPoolOptions(workers []Worker, source <-chan Worker, logw io.Writer, pers
 					if !ok {
 						d.mu.Lock()
 						d.sourceOpen = false
-						if d.live == 0 && d.fallback != nil && !d.fallbackArmed {
-							d.armFallbackLocked()
-						}
-						dead := d.live == 0
-						if dead && d.persistent && !d.closing {
-							d.failLocked(fmt.Errorf("shard: no live workers remain"))
+						if d.live == 0 {
+							d.drainedLocked()
 						}
 						d.mu.Unlock()
-						if dead && !d.persistent {
-							d.signalDone()
-						}
 						return
 					}
 					p.joined = append(p.joined, w)
@@ -162,35 +153,6 @@ type Ticket struct {
 // blocking or calling back into the pool (hand observations to a
 // channel or buffer). Submission order is the pipelining priority.
 func (p *Pool) Submit(spec RunSpec, progress func(RunProgress)) (*Ticket, error) {
-	return p.submit(&spec, progress)
-}
-
-// SubmitCtx is Submit bound to a context: when ctx ends before the run
-// does, the run is aborted — queued shards dropped, in-flight jobs
-// cancelled through the protocol's cancel path — and the ticket
-// resolves with an error wrapping ctx.Err(). This is how a client
-// disconnect or a per-request deadline reaches the shard wire. The
-// pool itself stays usable.
-func (p *Pool) SubmitCtx(ctx context.Context, spec RunSpec, progress func(RunProgress)) (*Ticket, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("shard: run cancelled before submit: %w", err)
-	}
-	t, err := p.submit(&spec, progress)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.d.abortRun(t.r, fmt.Errorf("shard: run cancelled: %w", context.Cause(ctx)))
-		case <-t.r.notify:
-		case <-p.d.done:
-		}
-	}()
-	return t, nil
-}
-
-func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error) {
 	d := p.d
 	d.mu.Lock()
 	if err := p.submitErrLocked(); err != nil {
@@ -204,7 +166,7 @@ func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error
 
 	// Validation, partitioning and checkpoint restore run outside the
 	// dispatch lock (they may read files).
-	r, err := newRunState(idx, spec, caps, d.logw)
+	r, err := newRunState(idx, &spec, caps, d.logw)
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +178,12 @@ func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error
 		r.cp.close()
 		return nil, err
 	}
-	if d.persistent {
-		d.compactLocked()
-		if d.live == 0 {
-			// Submitting to an empty pool (drained, or elastic and not yet
-			// populated): degraded mode starts now rather than parking the
-			// new run until a joiner happens by. No-op without a fallback.
-			d.armFallbackLocked()
-		}
+	d.compactLocked()
+	if d.live == 0 {
+		// Submitting to an empty pool (drained, or elastic and not yet
+		// populated): degraded mode starts now rather than parking the
+		// new run until a joiner happens by. No-op without a fallback.
+		d.armFallbackLocked()
 	}
 	// Insert in index order: concurrent submits may reach this point
 	// out of turn, and the scan order is the priority order.
@@ -240,6 +200,31 @@ func (p *Pool) submit(spec *RunSpec, progress func(RunProgress)) (*Ticket, error
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	return &Ticket{d: d, r: r}, nil
+}
+
+// SubmitCtx is Submit bound to a context: when ctx ends before the run
+// does, the run is aborted — queued shards dropped, in-flight jobs
+// cancelled through the protocol's cancel path — and the ticket
+// resolves with an error wrapping ctx.Err(). This is how a client
+// disconnect or a per-request deadline reaches the shard wire. The
+// pool itself stays usable.
+func (p *Pool) SubmitCtx(ctx context.Context, spec RunSpec, progress func(RunProgress)) (*Ticket, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("shard: run cancelled before submit: %w", err)
+	}
+	t, err := p.Submit(spec, progress)
+	if err != nil {
+		return nil, err
+	}
+	go func() {
+		select {
+		case <-ctx.Done():
+			p.d.abortRun(t.r, fmt.Errorf("shard: run cancelled: %w", context.Cause(ctx)))
+		case <-t.r.notify:
+		case <-p.d.done:
+		}
+	}()
+	return t, nil
 }
 
 // submitErrLocked reports why the pool can take no more runs, if it
@@ -273,28 +258,6 @@ func (d *dispatcher) compactLocked() {
 		d.runs[i] = nil
 	}
 	d.runs = kept
-}
-
-// seal marks a one-shot pipeline complete on the submission side: serve
-// goroutines may retire once every submitted run finished.
-func (p *Pool) seal() {
-	p.d.mu.Lock()
-	p.d.sealed = true
-	allFinished := true
-	for _, r := range p.d.runs {
-		if !r.finished {
-			allFinished = false
-			break
-		}
-	}
-	if allFinished {
-		p.d.mu.Unlock()
-		p.d.signalDone()
-		p.d.cond.Broadcast()
-		return
-	}
-	p.d.mu.Unlock()
-	p.d.cond.Broadcast()
 }
 
 // Err reports the pool's fatal condition, nil while it is usable.
@@ -333,11 +296,9 @@ func (t *Ticket) Wait() (RunResult, error) {
 		return res, nil
 	case d.fatal != nil:
 		return res, d.fatal
-	case d.closing:
-		return res, fmt.Errorf("shard: pool closed")
 	default:
-		return res, fmt.Errorf("shard: %d of %d shards unassigned and no live workers remain",
-			len(r.shards)-len(r.done), len(r.shards))
+		// done closes only on a fatal error or Close.
+		return res, fmt.Errorf("shard: pool closed")
 	}
 }
 

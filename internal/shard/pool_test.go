@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -235,11 +236,11 @@ func (dyingWorker) Name() string                    { return "dying" }
 func (dyingWorker) Run(*Job) ([]sim.Partial, error) { return nil, errors.New("boom") }
 func (dyingWorker) Close() error                    { return nil }
 
-// TestJoinStopDrainsGracefully exercises the worker-side graceful
-// shutdown: a join-mode worker told to stop mid-run finishes or hands
-// back its jobs and returns nil, while the run completes bit-identical
-// on the surviving worker.
-func TestJoinStopDrainsGracefully(t *testing.T) {
+// TestJoinCancelDrainsGracefully exercises the worker-side graceful
+// shutdown: a join-mode worker whose context is cancelled mid-run
+// finishes or hands back its jobs and returns nil, while the run
+// completes bit-identical on the surviving worker.
+func TestJoinCancelDrainsGracefully(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	base, err := sim.Run(p, o)
@@ -252,88 +253,89 @@ func TestJoinStopDrainsGracefully(t *testing.T) {
 	}
 	defer ln.Close()
 
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	joinErr := make(chan error, 1)
 	go func() {
-		joinErr <- JoinStop(ln.Addr().String(), 1, NetConfig{}, stop)
+		joinErr <- Join(ctx, ln.Addr().String(), 1, NetConfig{})
 	}()
 	joined := <-joiners // the worker's handshake completed
 	defer joined.Close()
 
 	done := make(chan struct{})
-	var res []RunResult
+	var got sim.Summary
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = RunPipelineSource(
-			[]RunSpec{{Params: p, Options: o, Shards: 16}},
+		got, _, runErr = runOne(RunSpec{Params: p, Options: o, Shards: 16},
 			[]Worker{joined, NewInProcessWorker("local", 1)}, nil, nil)
 	}()
-	close(stop) // drain the joined worker mid-run
+	cancel() // drain the joined worker mid-run
 	<-done
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if g, w := summaryBytes(t, res[0].Summary), summaryBytes(t, base); string(g) != string(w) {
+	if g, w := summaryBytes(t, got), summaryBytes(t, base); string(g) != string(w) {
 		t.Errorf("summary diverged after graceful drain\n got %s\nwant %s", g, w)
 	}
 	select {
 	case err := <-joinErr:
 		if err != nil {
-			t.Errorf("JoinStop returned %v, want nil", err)
+			t.Errorf("Join returned %v, want nil", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("JoinStop did not return")
+		t.Fatal("Join did not return")
 	}
 }
 
-// TestListenAndServeNetStop exercises the serve-mode graceful shutdown:
-// the listener told to stop returns nil after its connections drain,
-// and a run in progress completes on the surviving worker.
-func TestListenAndServeNetStop(t *testing.T) {
+// TestListenAndServeCancelDrains exercises the serve-mode graceful
+// shutdown: the listener whose context is cancelled returns nil after
+// its connections drain, and a run in progress completes on the
+// surviving worker.
+func TestListenAndServeCancelDrains(t *testing.T) {
 	p := testParams(sim.Conventional)
 	o := testOptions()
 	base, err := sim.Run(p, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	addrCh := make(chan net.Addr, 1)
 	serveErr := make(chan error, 1)
 	go func() {
-		serveErr <- ListenAndServeNetStop("127.0.0.1:0", NetConfig{}, func(a net.Addr) { addrCh <- a }, stop)
+		serveErr <- ListenAndServe(ctx, "127.0.0.1:0", NetConfig{}, func(a net.Addr) { addrCh <- a })
 	}()
 	addr := <-addrCh
-	remote, err := Dial(addr.String())
+	remote, err := DialNet(addr.String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
 
 	done := make(chan struct{})
-	var res []RunResult
+	var got sim.Summary
 	var runErr error
 	go func() {
 		defer close(done)
-		res, runErr = RunPipelineSource(
-			[]RunSpec{{Params: p, Options: o, Shards: 16}},
+		got, _, runErr = runOne(RunSpec{Params: p, Options: o, Shards: 16},
 			[]Worker{remote, NewInProcessWorker("local", 1)}, nil, nil)
 	}()
-	close(stop) // drain the TCP worker mid-run
+	cancel() // drain the TCP worker mid-run
 	<-done
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if g, w := summaryBytes(t, res[0].Summary), summaryBytes(t, base); string(g) != string(w) {
+	if g, w := summaryBytes(t, got), summaryBytes(t, base); string(g) != string(w) {
 		t.Errorf("summary diverged after serve-side drain\n got %s\nwant %s", g, w)
 	}
 	select {
 	case err := <-serveErr:
 		if err != nil {
-			t.Errorf("ListenAndServeNetStop returned %v, want nil", err)
+			t.Errorf("ListenAndServe returned %v, want nil", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("ListenAndServeNetStop did not return")
+		t.Fatal("ListenAndServe did not return")
 	}
 }
 
@@ -410,7 +412,7 @@ func TestRunFingerprintScheduleIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RunFingerprint(w, o) == Fingerprint(w, o, 1) {
+	if RunFingerprint(w, o) == fingerprint(w, o, 1) {
 		t.Error("run fingerprint collides with the checkpoint fingerprint")
 	}
 }

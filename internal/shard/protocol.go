@@ -11,10 +11,10 @@
 // (precision-targeted) runs — shards handed out in geometrically
 // growing waves, results merged in completion order, the stopping rule
 // re-checked at every cell boundary of the banked prefix, and
-// outstanding jobs cancelled once it binds (RunPipeline, sim.StopScan)
-// — and pipelines several runs through one shared worker pool so a
-// scenario sweep's next point starts while the previous one drains
-// (RunPipeline, internal/sweep.MonteCarlo).
+// outstanding jobs cancelled once it binds (sim.StopScan) — and
+// pipelines several runs through one shared worker pool so a scenario
+// sweep's next point starts while the previous one drains (Pool,
+// internal/sweep.MonteCarlo).
 //
 // The determinism rests on two contracts from lower layers: every
 // iteration reseeds its RNG stream from (seed, iteration index), so a

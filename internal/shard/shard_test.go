@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"os"
 	"testing"
@@ -25,6 +27,22 @@ func testParams(pol sim.Policy) sim.ArrayParams {
 
 func testOptions() sim.Options {
 	return sim.Options{Iterations: 2000, MissionTime: 2e5, Seed: 20170327, Workers: 2}
+}
+
+// runOne executes one run on a fresh pool — NewPool, Submit, Wait,
+// Close — and returns its summary and statistics.
+func runOne(spec RunSpec, workers []Worker, source <-chan Worker, logw io.Writer) (sim.Summary, Stats, error) {
+	pool, err := NewPool(workers, source, logw)
+	if err != nil {
+		return sim.Summary{}, Stats{}, err
+	}
+	defer pool.Close()
+	tk, err := pool.Submit(spec, nil)
+	if err != nil {
+		return sim.Summary{}, Stats{}, err
+	}
+	res, err := tk.Wait()
+	return res.Summary, res.Stats, err
 }
 
 // summaryBytes renders a Summary to its canonical JSON for
@@ -58,7 +76,7 @@ func TestShardedMatchesSingleProcessAllPolicies(t *testing.T) {
 			for i := range workers {
 				workers[i] = NewInProcessWorker("w", 1)
 			}
-			got, st, err := RunStats(Config{Params: p, Options: o, Shards: cfg.shards, Workers: workers})
+			got, st, err := runOne(RunSpec{Params: p, Options: o, Shards: cfg.shards}, workers, nil, nil)
 			if err != nil {
 				t.Fatalf("%v shards=%d workers=%d: %v", pol, cfg.shards, cfg.workers, err)
 			}
@@ -83,8 +101,7 @@ func TestShardedHistogramMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Params: p, Options: o, Shards: 4,
-		Workers: []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}})
+	got, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 4}, []Worker{NewInProcessWorker("a", 1), NewInProcessWorker("b", 1)}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +123,16 @@ func TestProcessWorkersMatchSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunLocal(p, o, 4, 2, "", nil)
+	workers, err := SpawnLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, w := range workers {
+			w.Close()
+		}
+	}()
+	got, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 4}, workers, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +146,9 @@ func TestProcessWorkersMatchSingleProcess(t *testing.T) {
 func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 	addr := make(chan net.Addr, 1)
 	go func() {
-		_ = ListenAndServe("127.0.0.1:0", func(a net.Addr) { addr <- a })
+		_ = ListenAndServe(context.Background(), "127.0.0.1:0", NetConfig{}, func(a net.Addr) { addr <- a })
 	}()
-	w, err := Dial((<-addr).String())
+	w, err := DialNet((<-addr).String(), NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +160,7 @@ func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Params: p, Options: o, Shards: 3, Workers: []Worker{w}})
+	got, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 3}, []Worker{w}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +174,7 @@ func TestTCPWorkerMatchesSingleProcess(t *testing.T) {
 func TestPartition(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 2000, 1_000_000} {
 		for _, s := range []int{1, 2, 7, 256, 100000} {
-			shards := Partition(n, s)
+			shards := partition(n, s)
 			if len(shards) == 0 {
 				t.Fatalf("n=%d shards=%d: empty partition", n, s)
 			}
@@ -245,7 +271,7 @@ func TestShardedBiasedMatchesSingleProcess(t *testing.T) {
 			for i := range workers {
 				workers[i] = NewInProcessWorker("w", 1)
 			}
-			got, err := Run(Config{Params: p, Options: o, Shards: cfg.shards, Workers: workers})
+			got, _, err := runOne(RunSpec{Params: p, Options: o, Shards: cfg.shards}, workers, nil, nil)
 			if err != nil {
 				t.Fatalf("%v shards=%d workers=%d: %v", pol, cfg.shards, cfg.workers, err)
 			}

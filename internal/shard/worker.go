@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -28,36 +29,28 @@ func Serve(t Transport) error {
 	if err := t.Send(&Message{Type: MsgHello, Version: ProtocolVersion}); err != nil {
 		return err
 	}
-	return serveJobs(t)
+	return serveJobs(context.Background(), t)
 }
 
 // serveJobs is the worker's post-handshake job loop: the receive side
 // feeds a FIFO executor and handles cancels, pings and malformed
-// messages inline.
-func serveJobs(t Transport) error {
-	return serveJobsStop(t, nil)
-}
-
-// serveJobsStop is serveJobs with a graceful-shutdown channel: when
-// stop closes, the worker finishes the job it is running, answers every
-// queued job with a cancelled message (the coordinator reassigns those
-// shards elsewhere), and closes the transport — which unwinds the
-// receive loop cleanly, so the caller sees a nil return. nil stop is
-// plain serveJobs.
-func serveJobsStop(t Transport, stop <-chan struct{}) error {
+// messages inline. When ctx ends, the worker drains gracefully: it
+// finishes the job it is running, answers every queued job with a
+// cancelled message (the coordinator reassigns those shards
+// elsewhere), and closes the transport — which unwinds the receive
+// loop cleanly, so the caller sees a nil return.
+func serveJobs(ctx context.Context, t Transport) error {
 	ex := newJobExecutor(t)
 	defer ex.shutdown()
-	if stop != nil {
-		go func() {
-			select {
-			case <-stop:
-				ex.drain()
-				t.Close()
-			case <-ex.done:
-				// Connection ended first; nothing to drain.
-			}
-		}()
-	}
+	go func() {
+		select {
+		case <-ctx.Done():
+			ex.drain()
+			t.Close()
+		case <-ex.done:
+			// Connection ended first; nothing to drain.
+		}
+	}()
 	for {
 		m, err := t.Recv()
 		if err != nil {

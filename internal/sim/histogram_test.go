@@ -65,3 +65,18 @@ func TestHistogramDisabledByDefault(t *testing.T) {
 		t.Fatal("histogram collected without being requested")
 	}
 }
+
+// TestHistogramBinsCeiling pins the Validate bound: the ceiling itself
+// is accepted, one bin more is refused before any allocation.
+func TestHistogramBinsCeiling(t *testing.T) {
+	o := Options{Iterations: 50, MissionTime: 1e4, Seed: 1, HistogramBins: MaxHistogramBins}
+	if err := o.Validate(); err != nil {
+		t.Fatalf("bins at the ceiling rejected: %v", err)
+	}
+	for _, bins := range []int{MaxHistogramBins + 1, 4000000} {
+		o.HistogramBins = bins
+		if err := o.Validate(); err == nil {
+			t.Errorf("histogram bins %d accepted, want a ceiling error", bins)
+		}
+	}
+}

@@ -261,7 +261,8 @@ type Options struct {
 	Confidence float64
 	// HistogramBins, when positive, collects a histogram of
 	// per-iteration total downtime hours over
-	// [0, HistogramMaxHours) into Summary.DowntimeHistogram.
+	// [0, HistogramMaxHours) into Summary.DowntimeHistogram. At most
+	// MaxHistogramBins.
 	HistogramBins int
 	// HistogramMaxHours is the histogram's upper edge (default: 1% of
 	// the mission time).
@@ -341,6 +342,13 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
+// MaxHistogramBins caps Options.HistogramBins. Every canonical cell
+// partial carries its own histogram, so the bin count multiplies the
+// memory and wire size of a whole run; the cap keeps one request from
+// pinning gigabytes while leaving ample resolution (the repo's own
+// uses stay below 64 bins).
+const MaxHistogramBins = 1024
+
 // Validate checks the options.
 func (o *Options) Validate() error {
 	if o.Iterations < 1 {
@@ -370,6 +378,9 @@ func (o *Options) Validate() error {
 		if o.MaxIters < o.Iterations {
 			return fmt.Errorf("sim: MaxIters %d below the Iterations minimum %d", o.MaxIters, o.Iterations)
 		}
+	}
+	if o.HistogramBins > MaxHistogramBins {
+		return fmt.Errorf("sim: histogram bins %d exceed the maximum %d", o.HistogramBins, MaxHistogramBins)
 	}
 	// The negated form catches NaN; Inf must be rejected explicitly.
 	if o.Bias != 0 && o.Bias != BiasAuto && (!(o.Bias >= 1) || math.IsInf(o.Bias, 0)) {

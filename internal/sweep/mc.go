@@ -12,8 +12,8 @@ import (
 // but dozens — every policy crossed with every HEP value, each at 1e6
 // iterations — and executing the points one after another leaves the
 // worker pool idle while each point's tail shards (or adaptive drain)
-// finish. MonteCarlo pipelines the points through one shared pool via
-// shard.RunPipeline: point k+1's shards start the moment a pool slot
+// finish. MonteCarlo submits the points to one shared shard.Pool, which
+// pipelines them: point k+1's shards start the moment a pool slot
 // frees up, while point k is still draining, without changing a bit of
 // any point's answer.
 
@@ -59,30 +59,41 @@ type MCResult struct {
 // back in point order; every Summary is bit-identical to executing
 // that point alone with the same options. On error, the slice still
 // carries the points that finished before the failure (zero Summary
-// for the rest), mirroring shard.RunPipeline. logw receives
-// coordinator warnings (nil discards them). The caller owns the
-// workers.
+// for the rest). logw receives coordinator warnings (nil discards
+// them). The caller owns the workers.
 func MonteCarlo(points []MCPoint, workers []shard.Worker, logw io.Writer) ([]MCResult, error) {
-	specs := make([]shard.RunSpec, len(points))
+	out := make([]MCResult, len(points))
 	for i, pt := range points {
-		specs[i] = shard.RunSpec{
+		fp, _ := shard.FingerprintOf(pt.Params, pt.Options)
+		out[i] = MCResult{Label: pt.Label, Fingerprint: fp}
+	}
+	if len(points) == 0 {
+		return out, nil
+	}
+	pool, err := shard.NewPool(workers, nil, logw)
+	if err != nil {
+		return out, err
+	}
+	defer pool.Close()
+	tickets := make([]*shard.Ticket, len(points))
+	for i, pt := range points {
+		tickets[i], err = pool.Submit(shard.RunSpec{
 			Params:     pt.Params,
 			Options:    pt.Options,
 			Shards:     pt.Shards,
 			Checkpoint: pt.Checkpoint,
+		}, nil)
+		if err != nil {
+			return out, err
 		}
 	}
-	res, err := shard.RunPipeline(specs, workers, logw)
-	out := make([]MCResult, len(res))
-	for i := range res {
-		fp, _ := shard.FingerprintOf(points[i].Params, points[i].Options)
-		out[i] = MCResult{
-			Label:       points[i].Label,
-			Summary:     res[i].Summary,
-			Stats:       res[i].Stats,
-			Done:        res[i].Wall,
-			Fingerprint: fp,
+	var firstErr error
+	for i, tk := range tickets {
+		res, err := tk.Wait()
+		out[i].Summary, out[i].Stats, out[i].Done = res.Summary, res.Stats, res.Wall
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return out, err
+	return out, firstErr
 }

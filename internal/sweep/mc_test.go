@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"encoding/json"
+	"errors"
+	"reflect"
 	"testing"
 
 	"herald/internal/shard"
@@ -77,5 +79,64 @@ func TestMonteCarloEmpty(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Fatalf("empty sweep returned %d results", len(res))
+	}
+}
+
+// dyingWorker completes its first survive jobs on an in-process
+// worker, then fails every job with a transport-style error, so the
+// pool retires it as dead.
+type dyingWorker struct {
+	inner   shard.Worker
+	survive int
+	ran     int
+}
+
+func (w *dyingWorker) Name() string { return "dying" }
+func (w *dyingWorker) Run(job *shard.Job) ([]sim.Partial, error) {
+	if w.ran >= w.survive {
+		return nil, errors.New("connection reset by peer")
+	}
+	w.ran++
+	return w.inner.Run(job)
+}
+func (w *dyingWorker) Close() error { return nil }
+
+// TestMonteCarloKeepsFinishedPointsOnWorkerDeath pins the partial-
+// result contract: when the pool's only worker dies right after the
+// first point's last shard, the sweep fails, yet the first point's
+// Summary survives byte-identical to sim.Run and the later points stay
+// zero.
+func TestMonteCarloKeepsFinishedPointsOnWorkerDeath(t *testing.T) {
+	const shards = 3
+	var points []MCPoint
+	for _, hep := range []float64{0.005, 0.01, 0.02} {
+		points = append(points, MCPoint{
+			Label:   "hep",
+			Params:  sim.PaperDefaults(4, 1e-4, hep),
+			Options: sim.Options{Iterations: 2000, MissionTime: 2e5, Seed: 20170327, Workers: 1},
+			Shards:  shards,
+		})
+	}
+	base, err := sim.Run(points[0].Params, points[0].Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &dyingWorker{inner: shard.NewInProcessWorker("w", 1), survive: shards}
+	res, err := MonteCarlo(points, []shard.Worker{w}, nil)
+	if err == nil {
+		t.Fatal("sweep succeeded although its only worker died")
+	}
+	if len(res) != len(points) {
+		t.Fatalf("sweep returned %d results, want %d", len(res), len(points))
+	}
+	got, _ := json.Marshal(res[0].Summary)
+	want, _ := json.Marshal(base)
+	if string(got) != string(want) {
+		t.Errorf("finished point diverged from sim.Run\n got %s\nwant %s", got, want)
+	}
+	for i := 1; i < len(res); i++ {
+		if !reflect.DeepEqual(res[i].Summary, sim.Summary{}) {
+			t.Errorf("point %d: non-zero Summary after the pool died: %+v", i, res[i].Summary)
+		}
 	}
 }
