@@ -1,7 +1,7 @@
 package herald
 
-// Benchmark harness: one benchmark per paper figure/claim (DESIGN.md
-// §4 maps experiment ids to these targets), plus micro-benchmarks of
+// Benchmark harness: one benchmark per paper figure/claim (the
+// experiment ids of internal/repro's Run map to these targets), plus micro-benchmarks of
 // the analytic and simulation kernels. Each figure benchmark runs the
 // full experiment generator at a reduced Monte-Carlo scale and reports
 // the reproduced headline metric via b.ReportMetric, so
@@ -105,7 +105,7 @@ func BenchmarkHeadlineUnderestimation(b *testing.B) {
 }
 
 // BenchmarkAblationRates regenerates the interpretation-knob ablation
-// (DESIGN.md §3).
+// (repro.Ablation).
 func BenchmarkAblationRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := repro.Ablation(benchOpts()); err != nil {

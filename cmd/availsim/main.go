@@ -149,7 +149,7 @@ func (lf *lawFlags) build(rate float64) (dist.Distribution, error) {
 func parseBiasFlag(s string) (float64, error) {
 	v, err := sim.ParseBias(s)
 	if err != nil {
-		return 0, fmt.Errorf("-bias must be \"auto\" or a finite factor >= 1, got %q", s)
+		return 0, fmt.Errorf("-bias must be \"auto\" or a factor in [1, 1e15], got %q", s)
 	}
 	return v, nil
 }
@@ -193,7 +193,7 @@ func main() {
 		lambdaCrash = flag.Float64("lambda-crash", 0.01, "pulled-disk crash rate (1/h)")
 		noResync    = flag.Bool("no-resync", false, "skip the post-undo resync outage")
 		kernel      = flag.String("kernel", "auto", "Monte-Carlo kernel: auto (rate-based walkers when every law is exponential), generic (per-disk clock walkers) or memoryless (force; rejects non-exponential laws)")
-		bias        = flag.String("bias", "", "failure-biased importance sampling: a finite inflation factor >= 1, or auto to pick one from the failure/repair rate ratio; needs the memoryless kernel (empty = off)")
+		bias        = flag.String("bias", "", "failure-biased importance sampling: an inflation factor in [1, 1e15], or auto to pick one from the failure/repair rate ratio; needs the memoryless kernel (empty = off)")
 		targetHW    = flag.Float64("target-halfwidth", 0, "adaptive precision target: stop when the availability CI half-width reaches this value (sequential sampling; -iters becomes the cap, or the minimum when -max-iters is set)")
 		maxIters    = flag.Int("max-iters", 0, "iteration cap for adaptive runs (requires -target-halfwidth; -iters then floors the executed count)")
 		iters       = flag.Int("iters", 20000, "Monte-Carlo iterations (paper: 1e6); with -target-halfwidth, the cap instead")

@@ -28,7 +28,7 @@ import (
 func parseBiasFlag(s string) (float64, error) {
 	v, err := sim.ParseBias(s)
 	if err != nil {
-		return 0, fmt.Errorf("-bias must be \"auto\" or a finite factor >= 1, got %q", s)
+		return 0, fmt.Errorf("-bias must be \"auto\" or a factor in [1, 1e15], got %q", s)
 	}
 	return v, nil
 }
@@ -46,7 +46,7 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		full       = flag.Bool("full", false, "run the paper-scale sweep (policies x HEP at 1e6 iterations/point) pipelined across all cores")
 		targetHW   = flag.Float64("target-halfwidth", 0, "with -full: stop each point at this CI half-width instead of the full iteration count (adaptive sequential sampling; -iters becomes the cap)")
-		bias       = flag.String("bias", "", "with -full: failure-biased importance sampling — a finite inflation factor >= 1, or auto to pick one per point from its failure/repair rate ratio (empty = off)")
+		bias       = flag.String("bias", "", "with -full: failure-biased importance sampling — an inflation factor in [1, 1e15], or auto to pick one per point from its failure/repair rate ratio (empty = off)")
 		undoLaws   = flag.Bool("undo-laws", false, "shorthand for -fig undo-laws: compare hyper-exponential / lognormal human-error undo latencies against the paper's exponential assumption")
 		confidence = flag.Float64("confidence", 0, "confidence level for the intervals (0 = default 0.99 as in the paper)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")

@@ -25,8 +25,8 @@
 //	if err != nil { ... }
 //	fmt.Printf("availability: %.3f nines\n", res.Nines())
 //
-// All rates are per hour. See DESIGN.md for modelling decisions and
-// EXPERIMENTS.md for paper-vs-measured results.
+// All rates are per hour. See the README for the simulator's design
+// and internal/repro for the paper experiments.
 package herald
 
 import (
@@ -178,7 +178,7 @@ func ParseSimKernel(s string) (SimKernel, error) {
 const SimBiasAuto = sim.BiasAuto
 
 // ParseSimBias maps a bias token onto a SimOptions.Bias value: ""
-// (off), "auto" (SimBiasAuto), or a finite factor >= 1.
+// (off), "auto" (SimBiasAuto), or a factor in [1, 1e15].
 func ParseSimBias(s string) (float64, error) { return sim.ParseBias(s) }
 
 // ResolveSimBias reports the concrete failure-inflation factor a

@@ -303,8 +303,9 @@ func (p FailoverParams) Validate() error {
 
 // FailoverChain builds the paper's Fig. 3 CTMC for a RAID array with
 // a hot spare and the delayed (automatic fail-over) replacement
-// policy. See DESIGN.md §3.2 for the full transition table and the
-// interpretation knobs.
+// policy. The transitions are listed in the body below; the
+// interpretation knobs are FailoverParams.InstallAsSpare and
+// DownAltService.
 func FailoverChain(p FailoverParams) (*markov.CTMC, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

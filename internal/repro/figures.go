@@ -205,7 +205,7 @@ func Underestimation(opts Options) (*report.Table, error) {
 	return t, nil
 }
 
-// Ablation sweeps the interpretation knobs DESIGN.md §3 calls out:
+// Ablation sweeps the model's interpretation knobs:
 // the post-undo resync phase and the two Fig. 3 service branches, plus
 // the sensitivity of the fail-over gain to muCH.
 func Ablation(opts Options) (*report.Table, error) {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestGoldenAnalyticNumbers pins the analytic (Markov) cells of the
-// experiment tables to their recorded values in EXPERIMENTS.md, so
+// experiment tables to their recorded values below, so
 // that refactors of the solver or model cannot silently drift the
 // reproduction.
 func TestGoldenAnalyticNumbers(t *testing.T) {

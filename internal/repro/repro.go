@@ -1,8 +1,8 @@
 // Package repro regenerates every table and figure of the paper's
 // evaluation section (§V) plus its headline claims, as textual tables.
-// Each experiment is addressable by the paper's figure number; see
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// Each experiment is addressable by the paper's figure number; All
+// lists the experiment ids and each experiment's table notes record
+// the paper's values beside the measured ones.
 package repro
 
 import (
@@ -31,7 +31,7 @@ type Options struct {
 	// of running the full MCIterations count.
 	TargetHalfWidth float64
 	// Bias turns on failure-biased importance sampling for the
-	// paper-scale sweep (Full): sim.BiasAuto or a finite factor >= 1
+	// paper-scale sweep (Full): sim.BiasAuto or a factor in [1, 1e15]
 	// (0 = off). The sweep's configurations are all-exponential, so
 	// the memoryless kernel the biasing needs always resolves.
 	Bias float64

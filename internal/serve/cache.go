@@ -162,10 +162,18 @@ type cacheSnapEntry struct {
 
 const cacheSnapFormat = "herald-result-cache"
 
+// cacheSnapVersion is the snapshot version this build writes and the
+// only one it loads. It changes whenever the same fingerprint may name
+// a different result: version 2 came with the table-driven memoryless
+// walker, whose conventional-policy realizations differ from those of
+// version 1 snapshots.
+const cacheSnapVersion = 2
+
 // persistTo arms persistence: snapshots go to path every snapEvery
 // insertions (and on snapshotNow), and an existing snapshot is loaded
 // immediately. Loading failures other than a missing file are returned;
-// a torn tail is dropped with a warning, keeping everything before it.
+// a torn tail is dropped with a warning, keeping everything before it,
+// and a snapshot of another version is skipped with a warning.
 func (c *resultCache) persistTo(path string, snapEvery int, logw io.Writer) error {
 	if snapEvery <= 0 {
 		snapEvery = 32
@@ -208,6 +216,10 @@ func (c *resultCache) load() error {
 			var h cacheSnapHeader
 			if err := json.Unmarshal(raw, &h); err != nil || h.Type != "header" || h.Format != cacheSnapFormat {
 				return fmt.Errorf("serve: cache snapshot %s: malformed header", c.path)
+			}
+			if h.Version != cacheSnapVersion {
+				fmt.Fprintf(c.logw, "serve: cache snapshot %s: version %d, want %d; starting empty\n", c.path, h.Version, cacheSnapVersion)
+				break
 			}
 			continue
 		}
@@ -264,7 +276,7 @@ func writeCacheSnapshot(path string, entries []cacheSnapEntry) error {
 		return err
 	}
 	enc := json.NewEncoder(f)
-	if err := enc.Encode(cacheSnapHeader{Type: "header", Format: cacheSnapFormat, Version: 1}); err != nil {
+	if err := enc.Encode(cacheSnapHeader{Type: "header", Format: cacheSnapFormat, Version: cacheSnapVersion}); err != nil {
 		f.Close()
 		return err
 	}

@@ -37,13 +37,17 @@ type checkpointRecord struct {
 
 // fingerprint binds a checkpoint to one exact run configuration: the
 // wire-encoded parameters, the result-affecting options, and the
-// shard partition, hashed with FNV-1a over their canonical JSON.
-// Schedule-only knobs (Workers) are excluded — results are
-// partition-independent, so a run may resume on a box with a
-// different worker count.
+// shard partition, hashed with FNV-1a over their canonical JSON behind
+// a domain label. Schedule-only knobs (Workers) are excluded — results
+// are partition-independent, so a run may resume on a box with a
+// different worker count. The label changes whenever the same
+// configuration may produce different partials: v2 came with the
+// table-driven memoryless walker, so a checkpoint of an earlier
+// realization is refused instead of merged.
 func fingerprint(p WireParams, o sim.Options, shards int) string {
 	o.Workers = 0
 	h := fnv.New64a()
+	_, _ = io.WriteString(h, "herald-checkpoint-v2\n")
 	enc := json.NewEncoder(h)
 	_ = enc.Encode(p)
 	_ = enc.Encode(o)

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -392,6 +394,47 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	o2 := o
 	o2.Seed++
 	_, _, err := runOne(RunSpec{Params: p, Options: o2, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "different run") {
+		t.Fatalf("expected fingerprint mismatch error, got %v", err)
+	}
+}
+
+// TestCheckpointRefusesUnlabeledFingerprint pins the checkpoint domain
+// label: a checkpoint whose header carries the unlabeled fingerprint of
+// the same run — what builds before the table-driven memoryless walker
+// wrote, over partials of another realization — is refused, not
+// merged.
+func TestCheckpointRefusesUnlabeledFingerprint(t *testing.T) {
+	p := testParams(sim.Conventional)
+	o := testOptions()
+	cpPath := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, _, err := runOne(RunSpec{Params: p, Options: o, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	w, err := EncodeParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlabeled := o
+	unlabeled.Workers = 0
+	h := fnv.New64a()
+	enc := json.NewEncoder(h)
+	_ = enc.Encode(w)
+	_ = enc.Encode(unlabeled)
+	_ = enc.Encode(4)
+	old := fmt.Sprintf("%016x", h.Sum64())
+	if old == fingerprint(w, o, 4) {
+		t.Fatal("labeled fingerprint equals the unlabeled one")
+	}
+	raw, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(fingerprint(w, o, 4)), []byte(old), 1)
+	if err := os.WriteFile(cpPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = runOne(RunSpec{Params: p, Options: o, Shards: 4, Checkpoint: cpPath}, []Worker{NewInProcessWorker("w", 1)}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("expected fingerprint mismatch error, got %v", err)
 	}

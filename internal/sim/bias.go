@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -32,9 +31,15 @@ import (
 // (see ResolveBias).
 const BiasAuto = -1.0
 
+// maxBias bounds an explicit bias factor: far beyond any useful change
+// of measure, and low enough that the inflated failure rates of the
+// memoryless table stay finite (a factor near the float64 limit
+// overflowed them, making every log-weight infinite).
+const maxBias = 1e15
+
 // ParseBias maps a CLI or API token onto an Options.Bias value: the
 // empty string means off, "auto" means BiasAuto, and anything else
-// must parse as a finite factor >= 1.
+// must parse as a factor in [1, 1e15].
 func ParseBias(s string) (float64, error) {
 	switch s {
 	case "":
@@ -43,8 +48,8 @@ func ParseBias(s string) (float64, error) {
 		return BiasAuto, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 1 {
-		return 0, fmt.Errorf("sim: bias %q must be \"auto\" or a finite factor >= 1", s)
+	if err != nil || !(v >= 1 && v <= maxBias) {
+		return 0, fmt.Errorf("sim: bias %q must be \"auto\" or a factor in [1, %g]", s, maxBias)
 	}
 	return v, nil
 }
@@ -98,12 +103,15 @@ func ResolveBias(p ArrayParams, o Options) (float64, error) {
 // rate inputs (no failure or no repair exit) answer 1, leaving the run
 // effectively unbiased rather than guessing.
 func autoBias(p *ArrayParams, m memRates, mission float64) float64 {
-	n := float64(p.Disks)
-	f := (n - 1) * m.lambda
-	g := m.muDF
-	if p.Policy == AutoFailover {
-		g = m.muS
+	// The exposed-state race is the table's first skip-counter race:
+	// its rare exit is the second failure, its common exit the repair.
+	var f, g float64
+	for _, ms := range memTables[p.Policy](p, m).states {
+		if ms.ctr == 1 {
+			f, g = ms.outs[0].fail*m.lambda, ms.outs[1].rate
+		}
 	}
+	n := float64(p.Disks)
 	if !(f > 0) || !(g > 0) || !(mission > 0) {
 		return 1
 	}

@@ -164,18 +164,11 @@ type scratch struct {
 	expPos  int
 	noBatch bool
 
-	// hepGap counts the human-error Bernoulli(HEP) trials remaining
-	// before the next error fires (geometric skip sampling: one log
-	// draw per error instead of one uniform per trial). -1 means not
-	// drawn yet; iterate resets it so iterations stay independent.
-	// hepExact records whether the current value is a materialized gap
-	// or a censored horizon (see drawGeomGap); hepInv and hepQCap are
-	// the trial probability's precomputed geomInv divisor and
-	// censoring threshold.
-	hepGap   int
-	hepExact bool
-	hepInv   float64
-	hepQCap  float64
+	// ctr holds the skip counters: ctr[ctrHEP] realizes the
+	// human-error trials of every walker, the rest the races of the
+	// memoryless table. iterate resets them so iterations stay
+	// independent.
+	ctr [maxCtrs]skipCounter
 
 	ttf, repair, tape, herec, rebuild, swap sampler
 
@@ -184,11 +177,9 @@ type scratch struct {
 	crashInv, crash2Inv float64
 
 	// memoryless is true when this scratch runs the rate-based
-	// kernels; the per-policy constant blocks below are then resolved.
+	// kernel over tab, its policy's transition table.
 	memoryless bool
-	convK      convMemK
-	foK        foMemK
-	dpK        dpMemK
+	tab        memTable
 
 	// Cached two-min failure scan, threaded through the fail-over
 	// phase machine: scanOK is invalidated whenever a clock changes
@@ -206,11 +197,10 @@ type scratch struct {
 	// iterations.
 	expBuf [expBufLen]float64
 
-	// aggA/aggB/aggC are the per-phase stage scratch of the censored
-	// chunk resolution (resolveChunk2/resolveChunk3), sized to the
-	// largest aggregation chunk. Cold: touched at most once per
-	// iteration, at mission end.
-	aggA, aggB, aggC [aggMax]float64
+	// agg is the per-state stage scratch of the censored chunk
+	// resolution (resolveChunk), sized to the largest aggregation
+	// chunk. Cold: touched at most once per iteration, at mission end.
+	agg [maxCycle][aggMax]float64
 }
 
 // newScratch builds a worker's scratch for the given kernel request.
@@ -219,34 +209,25 @@ type scratch struct {
 // walker here. bias is the resolved failure-inflation factor of an
 // importance-sampled run (values <= 1 mean unbiased; prepareRange
 // rejects biased requests on non-memoryless configurations before any
-// scratch is built). With bias 1 every kernel constant below is
-// bit-identical to the unbiased construction — multiplying a rate by
-// 1.0 is exact and ln(1) is 0 — so unbiased realizations are
-// unchanged.
+// scratch is built; see memTable.finish).
 func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
-	if bias < 1 {
-		bias = 1
-	}
 	sc := &scratch{
 		p:         p,
 		noBatch:   noBatch,
 		crashInv:  inv(p.CrashRate),
 		crash2Inv: inv(2 * p.CrashRate),
-		hepInv:    geomInv(p.HEP),
-		hepQCap:   geomQCap(p.HEP),
 	}
+	sc.ctr[ctrHEP] = newSkipCounter(p.HEP)
 	if m, ok, err := resolveKernel(p, k); err == nil && ok {
-		// The rate-based walkers never touch the failure clocks or the
-		// law samplers; skipping their construction keeps short ranges
-		// (adaptive probes, benchmark cells) off that setup cost.
+		// The rate-based walker never touches the failure clocks or
+		// the law samplers; skipping their construction keeps short
+		// ranges (adaptive probes, benchmark cells) off that setup
+		// cost.
 		sc.memoryless = true
-		switch p.Policy {
-		case AutoFailover:
-			sc.foK = makeFoMemK(p, m, bias)
-		case DualParity:
-			sc.dpK = makeDpMemK(p, m, bias)
-		default:
-			sc.convK = makeConvMemK(p, m, bias)
+		sc.tab = memTables[p.Policy](p, m)
+		sc.tab.finish(m.lambda, bias, &sc.ctr)
+		if noBatch {
+			sc.tab.cycleRate = 0
 		}
 		return sc
 	}
@@ -262,22 +243,17 @@ func newScratch(p *ArrayParams, k Kernel, noBatch bool, bias float64) *scratch {
 
 // iterate walks one array lifetime for iteration index it. Each
 // iteration reseeds the stream in place from (seed, it) and resets the
-// skip counter, so the draw sequence of an iteration depends only on
+// skip counters, so the draw sequence of an iteration depends only on
 // the master seed and the iteration index — never on which worker ran
 // it or how iterations were scheduled.
 func (sc *scratch) iterate(seed uint64, it int, mission float64) iterStats {
 	sc.src.SeedStream(seed, uint64(it))
-	sc.hepGap = -1
+	for i := range sc.ctr {
+		sc.ctr[i].gap = -1
+	}
 	sc.expPos = expBufLen // discard buffered draws of the previous iteration
 	if sc.memoryless {
-		switch sc.p.Policy {
-		case AutoFailover:
-			return sc.failoverMemoryless(mission)
-		case DualParity:
-			return sc.dualParityMemoryless(mission)
-		default:
-			return sc.conventionalMemoryless(mission)
-		}
+		return sc.walk(mission)
 	}
 	sc.scanOK = false
 	switch sc.p.Policy {
@@ -325,38 +301,90 @@ func (sc *scratch) cachedNextFailure(now float64, ex int) (int, float64) {
 }
 
 // hepTrial reports whether the next human-error opportunity turns into
-// an error. The trials are iid Bernoulli(HEP), realized by geometric
-// gap sampling: the number of error-free trials before the next error
-// is drawn once (floor(ln U / ln(1-hep))) and then counted down, which
-// replaces one uniform per service with one logarithm per error. A
-// censored counter that runs out is redrawn instead of firing (see
-// drawGeomGap); the fresh draw never returns a censored 0, so one
-// redraw settles the trial.
-func (sc *scratch) hepTrial(r *xrand.Source) bool {
-	if sc.hepGap < 0 || (sc.hepGap == 0 && !sc.hepExact) {
-		sc.drawHEPGap(r)
+// an error.
+func (sc *scratch) hepTrial(r *xrand.Source) bool { return sc.ctr[ctrHEP].trial(r) }
+
+// skipCounter realizes an iid Bernoulli(p) trial sequence by geometric
+// gap sampling: the number of failed trials before the next success,
+// floor(ln U / ln(1-p)), is drawn once and then counted down, which
+// replaces one uniform per trial with one logarithm per success. p <= 0
+// never succeeds (the gap outlives any mission), p >= 1 always does;
+// neither consumes randomness, matching Bernoulli's edge behavior.
+// Beyond the human-error trials, the memoryless walker uses counters
+// for the rare exits of the races its quiet cycle crosses: in a CTMC
+// the winner of a state's race is an iid Bernoulli draw independent of
+// the holding times.
+//
+// Draws are censored at gapCap: when the uniform lands at or below
+// qCap — the gap is at least gapCap — the counter holds gapCap
+// without computing the logarithm. By memorylessness the excess over
+// gapCap is again geometric, so a censored counter that runs out is
+// redrawn instead of firing; a censored draw is never 0, so one
+// redraw settles the trial. For the rare race exits (p of 1e-3 and
+// below, censored ~94% of the time) a draw costs one uniform and one
+// compare.
+type skipCounter struct {
+	gap   int  // failed trials left before the next success; -1 = not drawn
+	exact bool // gap is materialized, not a censored horizon
+	// inv and qCap are p's precomputed geomInv divisor and geomQCap
+	// censoring threshold.
+	inv, qCap float64
+}
+
+func newSkipCounter(p float64) skipCounter {
+	return skipCounter{gap: -1, inv: geomInv(p), qCap: geomQCap(p)}
+}
+
+// ready draws the counter when it is not drawn yet or a censored
+// horizon ran out. The check inlines into the walkers; the draw
+// stays out of line.
+func (c *skipCounter) ready(r *xrand.Source) {
+	if c.gap < 0 || (c.gap == 0 && !c.exact) {
+		c.draw(r)
 	}
-	if sc.hepGap == 0 {
-		sc.hepGap = -1 // error fires; redraw before the next trial
+}
+
+//go:noinline
+func (c *skipCounter) draw(r *xrand.Source) {
+	if c.inv >= 0 { // the sentinels: +Inf (never) and -0 (always)
+		c.gap, c.exact = 0, true
+		if c.inv > 0 {
+			c.gap = math.MaxInt
+		}
+		return
+	}
+	u := r.OpenFloat64()
+	if u <= c.qCap {
+		c.gap, c.exact = gapCap, false
+		return
+	}
+	c.gap, c.exact = int(math.Log(u)*c.inv), true
+}
+
+// trial reports whether the next trial succeeds.
+func (c *skipCounter) trial(r *xrand.Source) bool {
+	if c.gap > 0 { // drawn and not run out: the inlined common case
+		c.gap--
+		return false
+	}
+	return c.settle(r)
+}
+
+func (c *skipCounter) settle(r *xrand.Source) bool {
+	c.ready(r)
+	if c.gap == 0 {
+		c.gap = -1 // success; redraw before the next trial
 		return true
 	}
-	sc.hepGap--
+	c.gap--
 	return false
 }
 
-// drawHEPGap draws the geometric number of error-free trials before
-// the next human error into sc.hepGap/sc.hepExact. HEP 0 never errs
-// (the counter never runs out within a mission), HEP 1 always errs;
-// neither consumes randomness, matching Bernoulli's edge behavior.
-func (sc *scratch) drawHEPGap(r *xrand.Source) {
-	sc.hepGap, sc.hepExact = drawGeomGap(r, sc.hepInv, sc.hepQCap)
-}
-
-// geomInv precomputes drawGeomGap's divisor as a reciprocal,
+// geomInv precomputes a skip counter's divisor as a reciprocal,
 // 1/ln(1-p): a negative normal for 0 < p < 1, -0 for p >= 1 and +Inf
-// for p <= 0 (both sentinels drawGeomGap resolves without touching
-// the stream). Resolving it once with the kernel constants removes a
-// log1p and a division from every geometric draw.
+// for p <= 0 (both sentinels resolve without touching the stream).
+// Resolving it once with the kernel constants removes a log1p and a
+// division from every geometric draw.
 func geomInv(p float64) float64 {
 	if p <= 0 {
 		return plusInf
@@ -367,15 +395,14 @@ func geomInv(p float64) float64 {
 	return 1 / math.Log1p(-p)
 }
 
-// gapCap is the censoring horizon of drawGeomGap: a counter is
-// materialized exactly only when it falls short of gapCap trials, and
-// reported as a censored gapCap otherwise. It must be at least aggMax
-// so a censored counter never constrains a quiet chunk.
+// gapCap is the censoring horizon of a skip counter's draw. It must be
+// at least aggMax so a censored counter never constrains a quiet
+// chunk.
 const gapCap = aggMax
 
 // geomQCap precomputes the censoring threshold P(gap >= gapCap) =
-// (1-p)^gapCap that drawGeomGap tests its uniform against. Only
-// consulted for 0 < p < 1 (geomInv's sentinels bypass the draw).
+// (1-p)^gapCap that a draw tests its uniform against. Only consulted
+// for 0 < p < 1 (geomInv's sentinels bypass the draw).
 func geomQCap(p float64) float64 {
 	if p <= 0 || p >= 1 {
 		return 0
@@ -383,188 +410,27 @@ func geomQCap(p float64) float64 {
 	return math.Exp(float64(gapCap) * math.Log1p(-p))
 }
 
-// drawGeomGap draws the geometric number of failures before the next
-// success of an iid Bernoulli(p) sequence — floor(ln U / ln(1-p)) —
-// taking the divisor as the precomputed reciprocal invLn = geomInv(p)
-// and the censoring threshold qCap = geomQCap(p). p <= 0 (invLn +Inf)
-// never succeeds (MaxInt outlives any mission), p >= 1 (invLn -0)
-// always does; neither consumes randomness.
-//
-// The draw is censored at gapCap: when the uniform lands at or below
-// qCap — the gap is at least gapCap — it returns (gapCap, false)
-// without computing the logarithm. By memorylessness the excess over
-// gapCap is again geometric, so a consumer that exhausts a censored
-// counter redraws it fresh instead of firing the event; a censored
-// draw never returns 0, so one redraw settles the decision. For the
-// rare race outcomes the kernels skip-sample (p of 1e-3 and below,
-// censored ~94% of the time) this reduces the draw to one uniform and
-// one compare. Beyond the human-error trials, the memoryless kernels
-// use it for exactly those races: in a CTMC the winner of a state's
-// exit race is an iid Bernoulli draw independent of the holding
-// times.
-func drawGeomGap(r *xrand.Source, invLn, qCap float64) (gap int, exact bool) {
-	if invLn >= 0 { // the sentinels: +Inf (never) and -0 (always)
-		if invLn > 0 {
-			return math.MaxInt, true
-		}
-		return 0, true
-	}
-	u := r.OpenFloat64()
-	if u <= qCap {
-		return gapCap, false
-	}
-	return int(math.Log(u) * invLn), true
-}
-
 // expNext returns the next rate-1 exponential of the iteration's
 // stream, refilled through the buffer in expBufLen batches (see the
 // expBuf field comment). Under noBatch it draws directly, giving the
 // unbatched reference realization.
 func (sc *scratch) expNext() float64 {
+	if sc.expPos < expBufLen { // the inlined common case
+		v := sc.expBuf[sc.expPos]
+		sc.expPos++
+		return v
+	}
+	return sc.expRefill()
+}
+
+// expRefill is expNext's out-of-line path: the empty buffer refills,
+// or under noBatch, which keeps the buffer empty, the draw comes
+// straight off the stream.
+func (sc *scratch) expRefill() float64 {
 	if sc.noBatch {
 		return sc.src.ExpFloat64()
 	}
-	if sc.expPos == expBufLen {
-		sc.src.ExpFloat64N(sc.expBuf[:])
-		sc.expPos = 0
-	}
-	v := sc.expBuf[sc.expPos]
-	sc.expPos++
-	return v
-}
-
-// expB is expInv off the buffered stream: an exponential variate for
-// the precomputed inverse rate, +Inf when the event never fires.
-func (sc *scratch) expB(invRate float64) float64 {
-	if invRate <= 0 {
-		return plusInf
-	}
-	return sc.expNext() * invRate
-}
-
-// aggSmall is the chunk size up to which erlangChunk sums buffered
-// exponentials instead of paying dist.ErlangFloat64's rejection
-// constant: c buffered draws undercut one rejection draw while
-// c*~3ns stays below mtDraw's ~18ns.
-const aggSmall = 1
-
-// erlangChunk draws one Erlang(c) variate scaled by invRate — the
-// elapsed time of c aggregated same-phase holds. Small chunks sum off
-// the refill buffer; larger ones use dist.ErlangFloat64's O(1) draw.
-func (sc *scratch) erlangChunk(c int, invRate float64) float64 {
-	if c <= aggSmall {
-		s := sc.expNext()
-		for i := 1; i < c; i++ {
-			s += sc.expNext()
-		}
-		return s * invRate
-	}
-	return dist.ErlangFloat64(&sc.src, c) * invRate
-}
-
-// quietChunk sizes the next benign-cycle aggregation chunk: 3/4 of
-// the expected cycles left in the mission — large enough to collapse
-// most of the mission in a couple of chunks, small enough that chunks
-// rarely straddle mission end (an exact but cycle-by-cycle resolution,
-// resolveChunk2/3) — bounded by the quiet cycles the skip counters
-// guarantee and by the cached Erlang constants. 0 means aggregation
-// stops paying and the caller walks cycles individually.
-func quietChunk(expCycles float64, g1, g2, g3 int) int {
-	c := int(expCycles * 0.75)
-	if c > aggMax {
-		c = aggMax
-	}
-	if g1 < c {
-		c = g1
-	}
-	if g2 < c {
-		c = g2
-	}
-	if g3 < c {
-		c = g3
-	}
-	if c < aggMin {
-		return 0
-	}
-	return c
-}
-
-// resolveChunk2 finishes an iteration whose aggregated chunk of c
-// two-phase benign cycles (per-cycle holds aTot-phase then bTot-phase)
-// straddles mission end. Conditioned on an Erlang total, the
-// individual stage holds are the total split proportionally to fresh
-// iid rate-1 exponentials (the Dirichlet(1,...,1) representation of
-// uniform order-statistic spacings), so the walk below replays the
-// chunk cycle by cycle and counts the member failures — one per
-// completed first-phase hold — that precede mission end, exactly as
-// the unaggregated walk would. The array is up throughout a benign
-// cycle, so no downtime accrues, and the iteration ends inside the
-// chunk by construction.
-//
-// lnB is the per-cycle quiet-race log-weight of an importance-sampled
-// run (0 unbiased): a cycle's race trial only manifests once its
-// b-phase hold completes within the mission, so the weight lands after
-// that censoring check — the chunk's skip counters stay untouched for
-// a straddling chunk, and trials the mission cuts off must not weigh.
-func (sc *scratch) resolveChunk2(st *iterStats, t, mission float64, c int, aTot, bTot, lnB float64) {
-	a, b := sc.aggA[:c], sc.aggB[:c]
-	sc.src.ExpFloat64N(a)
-	sc.src.ExpFloat64N(b)
-	sumA, sumB := 0.0, 0.0
-	for i := 0; i < c; i++ {
-		sumA += a[i]
-		sumB += b[i]
-	}
-	sa, sb := aTot/sumA, bTot/sumB
-	for i := 0; i < c; i++ {
-		t += a[i] * sa
-		if t >= mission {
-			return
-		}
-		st.events.Failures++
-		t += b[i] * sb
-		if t >= mission {
-			return
-		}
-		st.logW += lnB
-	}
-	// Unreachable up to floating-point rounding of the prefix sums;
-	// landing here means the mission boundary fell within rounding of
-	// the chunk's end, with every cycle complete.
-}
-
-// resolveChunk3 is resolveChunk2 for the fail-over policy's
-// three-phase benign cycle (OP hold, then rebuild, then swap); lnB and
-// lnD are the rebuild and swap phases' quiet-race log-weights. The two
-// tail holds advance time separately so each race's weight sits behind
-// its own censoring check.
-func (sc *scratch) resolveChunk3(st *iterStats, t, mission float64, c int, aTot, bTot, cTot, lnB, lnD float64) {
-	a, b, d := sc.aggA[:c], sc.aggB[:c], sc.aggC[:c]
-	sc.src.ExpFloat64N(a)
-	sc.src.ExpFloat64N(b)
-	sc.src.ExpFloat64N(d)
-	sumA, sumB, sumD := 0.0, 0.0, 0.0
-	for i := 0; i < c; i++ {
-		sumA += a[i]
-		sumB += b[i]
-		sumD += d[i]
-	}
-	sa, sb, sd := aTot/sumA, bTot/sumB, cTot/sumD
-	for i := 0; i < c; i++ {
-		t += a[i] * sa
-		if t >= mission {
-			return
-		}
-		st.events.Failures++
-		t += b[i] * sb
-		if t >= mission {
-			return
-		}
-		st.logW += lnB
-		t += d[i] * sd
-		if t >= mission {
-			return
-		}
-		st.logW += lnD
-	}
+	sc.src.ExpFloat64N(sc.expBuf[:])
+	sc.expPos = 1
+	return sc.expBuf[0]
 }

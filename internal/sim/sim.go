@@ -130,14 +130,14 @@ func (p *ArrayParams) Validate() error {
 	if p.TTF == nil || p.Repair == nil || p.TapeRestore == nil {
 		return errors.New("sim: TTF, Repair and TapeRestore distributions are required")
 	}
-	if p.HEP < 0 || p.HEP > 1 {
+	if !(p.HEP >= 0 && p.HEP <= 1) { // the negated form rejects NaN
 		return fmt.Errorf("sim: HEP %v outside [0,1]", p.HEP)
 	}
 	if p.HEP > 0 && p.HERecovery == nil {
 		return errors.New("sim: HERecovery distribution required when HEP > 0")
 	}
-	if p.CrashRate < 0 {
-		return fmt.Errorf("sim: negative crash rate %v", p.CrashRate)
+	if !(p.CrashRate >= 0) || math.IsInf(p.CrashRate, 1) {
+		return fmt.Errorf("sim: crash rate %v must be non-negative and finite", p.CrashRate)
 	}
 	if p.Policy == AutoFailover && (p.SpareRebuild == nil || p.SpareSwap == nil) {
 		return errors.New("sim: AutoFailover requires SpareRebuild and SpareSwap distributions")
@@ -189,9 +189,9 @@ const (
 	// clock walkers otherwise. The kernels' estimates are
 	// statistically interchangeable (pinned by CI-overlap tests; the
 	// walkers differ only in a second-order aging-through-outages
-	// refinement, see conventional_memoryless.go), but the draw
-	// sequences differ: switching kernels changes the realization,
-	// like changing the seed does.
+	// refinement, see memtable.go), but the draw sequences differ:
+	// switching kernels changes the realization, like changing the
+	// seed does.
 	KernelAuto Kernel = iota
 	// KernelGeneric forces the per-disk failure-clock walkers — the
 	// reference implementation the specialized kernels are validated
@@ -297,8 +297,8 @@ type Options struct {
 	//
 	// 0 (and the no-op factor 1) disable biasing entirely; BiasAuto
 	// picks a factor from the failure/repair rate ratio of the
-	// configuration; factors > 1 are used as given. Requires the
-	// memoryless kernel. The field is omitted from JSON when zero, so
+	// configuration; factors in (1, 1e15] are used as given. Requires
+	// the memoryless kernel. The field is omitted from JSON when zero, so
 	// unbiased fingerprints, checkpoints and cache keys are unchanged.
 	Bias float64 `json:"Bias,omitempty"`
 
@@ -382,9 +382,9 @@ func (o *Options) Validate() error {
 	if o.HistogramBins > MaxHistogramBins {
 		return fmt.Errorf("sim: histogram bins %d exceed the maximum %d", o.HistogramBins, MaxHistogramBins)
 	}
-	// The negated form catches NaN; Inf must be rejected explicitly.
-	if o.Bias != 0 && o.Bias != BiasAuto && (!(o.Bias >= 1) || math.IsInf(o.Bias, 0)) {
-		return fmt.Errorf("sim: bias factor %v must be 0 (off), sim.BiasAuto or a finite factor >= 1", o.Bias)
+	// The negated form catches NaN.
+	if o.Bias != 0 && o.Bias != BiasAuto && !(o.Bias >= 1 && o.Bias <= maxBias) {
+		return fmt.Errorf("sim: bias factor %v must be 0 (off), sim.BiasAuto or a factor in [1, %g]", o.Bias, maxBias)
 	}
 	return nil
 }
@@ -568,9 +568,10 @@ func Run(p ArrayParams, o Options) (Summary, error) {
 
 // expInv draws an exponential variate given the precomputed inverse
 // rate; +Inf when invRate is 0 (rate-0 events never fire, see inv).
-// It is the one consolidated exponential fast path of every walker —
-// the crash-clock draws, the hot-loop service/TTF draws and the
-// memoryless kernels' holding-time draws all go through it. Keeping
+// It is the one consolidated exponential fast path of the clock
+// walkers — the crash-clock draws and the hot-loop service/TTF draws
+// all go through it (the memoryless walker draws its holding times
+// from the buffered stream, see expNext). Keeping
 // the function to a single call plus a hoisted constant leaves it
 // within the compiler's inlining budget (go build -gcflags=-m:
 // "can inline expInv"), so the draw compiles to the bare ziggurat

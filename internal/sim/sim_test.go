@@ -114,7 +114,7 @@ func TestRAID1Simulation(t *testing.T) {
 func TestFailoverMatchesReducedMarkov(t *testing.T) {
 	// The MC fail-over discipline (single technician, undo-first)
 	// corresponds to the Fig. 3 chain without the alternative service
-	// branches; see DESIGN.md.
+	// branches; see model.FailoverParams.InstallAsSpare and DownAltService.
 	lambda, hep := 1e-4, 0.02
 	p := PaperDefaults(4, lambda, hep)
 	p.Policy = AutoFailover
