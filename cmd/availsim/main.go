@@ -209,7 +209,6 @@ func main() {
 
 		shardJoin      = flag.String("shard-join", "", "join a coordinator (availsim -shard-listen) as a shard worker instead of simulating")
 		shardCapacity  = flag.Int("shard-capacity", 0, "job parallelism advertised when joining via -shard-join (0 = all local cores)")
-		joinRetry      = flag.Bool("join-retry", true, "supervise -shard-join: reconnect after transport failures with capped exponential backoff; a clean coordinator close still exits (false: exit on any error)")
 		shardListen    = flag.String("shard-listen", "", "accept shard workers joining via -shard-join on this address for the run (implies sharded execution)")
 		shardToken     = flag.String("shard-token", "", "shared secret authenticating shard connections; both ends must agree (HMAC handshake, the token never crosses the wire)")
 		shardTLSCert   = flag.String("shard-tls-cert", "", "PEM certificate enabling TLS on listening shard sockets (-shard-serve, -shard-listen; with -shard-tls-key); on dialing sides, the client certificate for mutual TLS")
@@ -248,11 +247,7 @@ func main() {
 			})
 		} else {
 			fmt.Fprintf(os.Stderr, "availsim: joining shard coordinator %s\n", *shardJoin)
-			if *joinRetry {
-				err = shard.JoinLoop(ctx, *shardJoin, *shardCapacity, clientNC, os.Stderr)
-			} else {
-				err = shard.Join(ctx, *shardJoin, *shardCapacity, clientNC)
-			}
+			err = shard.JoinLoop(ctx, *shardJoin, *shardCapacity, clientNC, os.Stderr)
 		}
 		exitOn(err)
 		fmt.Fprintln(os.Stderr, "availsim: shard worker drained, exiting")

@@ -9,15 +9,21 @@
 //     conventional disk replacement policy (paper Fig. 2) and the
 //     automatic fail-over / delayed replacement policy with a hot
 //     spare (paper Fig. 3), both extended with the human error states
-//     (wrong disk replacement) the paper introduces, plus a
-//     dual-parity extension.
+//     (wrong disk replacement) the paper introduces.
 //   - A Monte-Carlo reference simulator (paper §III) supporting
 //     arbitrary time-to-failure laws — exponential and Weibull in the
-//     paper — and both replacement policies.
-//   - RAID geometry / Effective Replication Factor planning for
-//     equal-usable-capacity comparisons (paper §V-C).
-//   - A reproduction harness regenerating every figure of the paper's
-//     evaluation (Run with an experiment id, or cmd/repro).
+//     paper — and both replacement policies, in one process or sharded
+//     across worker processes.
+//   - RAID geometry planning for equal-usable-capacity comparisons
+//     (paper §V-C).
+//
+// This package is the small surface the programs under examples/ use.
+// The reproduction harness that regenerates every figure of the
+// paper's evaluation is cmd/repro; the dual-parity model, MTTDL, the
+// other distribution families, kernel and bias selection and the shard
+// fabric are reached through cmd/availcalc, cmd/availsim and
+// cmd/availserve, or by importing the internal packages from within
+// this module.
 //
 // # Quick start
 //
@@ -25,25 +31,16 @@
 //	if err != nil { ... }
 //	fmt.Printf("availability: %.3f nines\n", res.Nines())
 //
-// All rates are per hour. See the README for the simulator's design
-// and internal/repro for the paper experiments.
+// All rates are per hour. See the README for the simulator's design.
 package herald
 
 import (
-	"context"
-	"io"
-	"net"
-
 	"herald/internal/dist"
 	"herald/internal/model"
 	"herald/internal/raid"
-	"herald/internal/report"
-	"herald/internal/repro"
-	"herald/internal/serve"
 	"herald/internal/shard"
 	"herald/internal/sim"
 	"herald/internal/stats"
-	"herald/internal/sweep"
 )
 
 // Version identifies the library release.
@@ -90,16 +87,6 @@ func SolveFailover(p FailoverParams) (*ModelResult, error) {
 	return model.Failover(p)
 }
 
-// SolveDualParity builds and solves the dual-parity (RAID6-style)
-// extension model.
-func SolveDualParity(p ConventionalParams) (*ModelResult, error) {
-	return model.DualParity(p)
-}
-
-// MTTDL returns the mean time to data loss (hours) of the conventional
-// model with DL absorbing.
-func MTTDL(p ConventionalParams) (float64, error) { return model.MTTDL(p) }
-
 // UnderestimationRatio returns unavail(hep)/unavail(0) for the given
 // configuration: the factor by which a human-error-blind model
 // underestimates downtime (the paper's headline is up to 263x).
@@ -143,51 +130,6 @@ const (
 	PolicyDualParity = sim.DualParity
 )
 
-// SimKernel selects the Monte-Carlo walker specialization via
-// SimOptions.Kernel; see the README's "Kernel dispatch" section.
-type SimKernel = sim.Kernel
-
-const (
-	// SimKernelAuto specializes fully exponential configurations to
-	// the rate-based memoryless walkers (the default).
-	SimKernelAuto = sim.KernelAuto
-	// SimKernelGeneric forces the per-disk failure-clock walkers.
-	SimKernelGeneric = sim.KernelGeneric
-	// SimKernelMemoryless forces the rate-based walkers; runs reject
-	// non-exponential laws.
-	SimKernelMemoryless = sim.KernelMemoryless
-)
-
-// ResolveSimKernel reports the concrete kernel a simulation of p
-// under k would execute (SimKernelMemoryless or SimKernelGeneric);
-// it errors when k forces the memoryless kernel on a configuration
-// with non-exponential laws.
-func ResolveSimKernel(p SimParams, k SimKernel) (SimKernel, error) {
-	return sim.ResolveKernel(p, k)
-}
-
-// ParseSimKernel maps "auto", "generic" or "memoryless" onto a
-// SimKernel.
-func ParseSimKernel(s string) (SimKernel, error) {
-	return sim.ParseKernel(s)
-}
-
-// SimBiasAuto is the SimOptions.Bias sentinel asking a run to pick
-// its failure-inflation factor from the configuration's failure/repair
-// rate ratio; see the README's "Rare-event acceleration" section.
-const SimBiasAuto = sim.BiasAuto
-
-// ParseSimBias maps a bias token onto a SimOptions.Bias value: ""
-// (off), "auto" (SimBiasAuto), or a factor in [1, 1e15].
-func ParseSimBias(s string) (float64, error) { return sim.ParseBias(s) }
-
-// ResolveSimBias reports the concrete failure-inflation factor a
-// simulation of p under o samples with (1 when unbiased); it errors
-// when auto resolution is requested on non-exponential laws.
-func ResolveSimBias(p SimParams, o SimOptions) (float64, error) {
-	return sim.ResolveBias(p, o)
-}
-
 // PaperSimParams returns the simulator defaults matching PaperParams.
 func PaperSimParams(n int, lambda, hep float64) SimParams {
 	return sim.PaperDefaults(n, lambda, hep)
@@ -198,17 +140,6 @@ func PaperSimParams(n int, lambda, hep float64) SimParams {
 // precision; the Summary's Iterations, TargetHalfWidth and Converged
 // fields report where and whether it stopped.
 func Simulate(p SimParams, o SimOptions) (SimSummary, error) { return sim.Run(p, o) }
-
-// ---------------------------------------------------------------------
-// Sharded (multi-process / multi-machine) simulation
-// ---------------------------------------------------------------------
-
-// SimPartial is the mergeable outcome of a contiguous iteration range;
-// see SimulateRange and MergeSimPartials.
-type SimPartial = sim.Partial
-
-// ShardWorker executes shard jobs for a coordinator.
-type ShardWorker = shard.Worker
 
 // MaybeShardWorker turns this process into a shard worker when it was
 // spawned by a sharded coordinator (SimulateSharded execs the current
@@ -245,111 +176,12 @@ func SimulateSharded(p SimParams, o SimOptions, shards, workerProcs int, checkpo
 	return res.Summary, err
 }
 
-// ShardNetConfig tunes the TCP transport of the shard protocol:
-// shared-token authentication, TLS, connect/handshake timeouts, and
-// the heartbeat cadence bounding half-open-connection detection. The
-// zero value is a plaintext, unauthenticated link.
-type ShardNetConfig = shard.NetConfig
-
-// DialShardWorkerNet attaches a remote worker serving the shard
-// protocol over TCP (ServeShardWorkersNet, or `availsim -shard-serve`)
-// under explicit transport configuration (TLS, token authentication,
-// timeouts; the zero ShardNetConfig is a plaintext link). Hand it to
-// NewShardPool.
-func DialShardWorkerNet(addr string, nc ShardNetConfig) (ShardWorker, error) {
-	return shard.DialNet(addr, nc)
-}
-
-// ServeShardWorkersNet turns this process into a TCP shard worker
-// serving jobs on addr (TLS termination, token authentication and
-// heartbeats per nc) until the listener fails, or until ctx ends —
-// then connections drain gracefully and it returns nil.
-func ServeShardWorkersNet(ctx context.Context, addr string, nc ShardNetConfig) error {
-	return shard.ListenAndServe(ctx, addr, nc, nil)
-}
-
-// JoinShardCoordinator dials a coordinator accepting shard workers
-// (ListenShardWorkers, or `availsim -shard-listen`), registers with
-// the advertised capacity (0 = all local cores), and serves jobs until
-// the coordinator closes the connection or ctx ends (a graceful
-// drain; both return nil).
-func JoinShardCoordinator(ctx context.Context, addr string, capacity int, nc ShardNetConfig) error {
-	return shard.Join(ctx, addr, capacity, nc)
-}
-
-// JoinShardCoordinatorLoop is the supervised form of
-// JoinShardCoordinator: transport and handshake failures are retried
-// with capped exponential backoff (deterministic jitter, see
-// ShardNetConfig's Retry fields), so the worker outlives coordinator
-// restarts and partitions. A clean coordinator close — or the end of
-// ctx — ends the loop with nil. logw (nil = discard) receives one line
-// per failed session.
-func JoinShardCoordinatorLoop(ctx context.Context, addr string, capacity int, nc ShardNetConfig, logw io.Writer) error {
-	return shard.JoinLoop(ctx, addr, capacity, nc, logw)
-}
-
-// ListenShardWorkers accepts workers joining via JoinShardCoordinator
-// (or `availsim -shard-join`) on addr, delivering each on the returned
-// channel, ready to be NewShardPool's elastic source. Close the
-// listener to stop accepting and close the channel.
-func ListenShardWorkers(addr string, nc ShardNetConfig) (net.Listener, <-chan ShardWorker, error) {
-	return shard.ListenWorkers(addr, nc, nil)
-}
-
-// SimulateRange computes the canonical cell partials of the aligned
-// iteration range [start, end) of a run; MergeSimPartials folds
-// partials that exactly tile the run back into a Summary. Together
-// they are the building blocks SimulateSharded distributes.
-func SimulateRange(p SimParams, o SimOptions, start, end int) ([]SimPartial, error) {
-	return sim.RunRange(p, o, start, end)
-}
-
-// ---------------------------------------------------------------------
-// Pipelined scenario sweeps
-// ---------------------------------------------------------------------
-
-// SweepPoint is one scenario of a pipelined Monte-Carlo sweep: a
-// label plus the full simulation configuration (adaptive options make
-// the point precision-targeted).
-type SweepPoint = sweep.MCPoint
-
-// SweepResult is one sweep point's outcome: its Summary (bit-identical
-// to running the point alone), run statistics, and completion offset.
-type SweepResult = sweep.MCResult
-
-// SimulateSweep executes scenario points pipelined through one shared
-// pool of workerProcs local worker processes (0 = one per core):
-// point k+1's shards start while point k drains, so the pool never
-// idles at scenario boundaries. The calling binary's main must start
-// with MaybeShardWorker.
-func SimulateSweep(points []SweepPoint, workerProcs int) ([]SweepResult, error) {
-	workers, err := shard.SpawnLocal(workerProcs)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		for _, w := range workers {
-			w.Close()
-		}
-	}()
-	return sweep.MonteCarlo(points, workers, nil)
-}
-
-// MergeSimPartials merges partials covering [0, o.Iterations) exactly
-// once into a Summary, rejecting gaps, overlaps and duplicates.
-func MergeSimPartials(o SimOptions, parts []SimPartial) (SimSummary, error) {
-	return sim.Summarize(o, parts)
-}
-
 // ---------------------------------------------------------------------
 // Distributions
 // ---------------------------------------------------------------------
 
 // Distribution is the sampling interface consumed by the simulator.
 type Distribution = dist.Distribution
-
-// Exponential returns an exponential law with the given rate (1/h).
-func Exponential(rate float64) Distribution { return dist.NewExponential(rate) }
 
 // Weibull returns a Weibull law with the given shape and scale (h).
 func Weibull(shape, scale float64) Distribution { return dist.NewWeibull(shape, scale) }
@@ -359,44 +191,6 @@ func Weibull(shape, scale float64) Distribution { return dist.NewWeibull(shape, 
 func WeibullFromMeanRate(rate, shape float64) Distribution {
 	return dist.WeibullFromMeanRate(rate, shape)
 }
-
-// Deterministic returns a point mass: a service of fixed duration (h).
-func Deterministic(value float64) Distribution { return dist.NewDeterministic(value) }
-
-// Uniform returns the constant-density law on [lo, hi) hours.
-func Uniform(lo, hi float64) Distribution { return dist.NewUniform(lo, hi) }
-
-// Lognormal returns the lognormal law with log-mean mu and log-stddev
-// sigma: the HRA literature's standard human task-time model.
-func Lognormal(mu, sigma float64) Distribution { return dist.NewLognormal(mu, sigma) }
-
-// LognormalFromMeanMedian returns the lognormal law with the given
-// mean and median (hours), the statistics HRA tables report.
-func LognormalFromMeanMedian(mean, median float64) Distribution {
-	return dist.LognormalFromMeanMedian(mean, median)
-}
-
-// Gamma returns the gamma law with the given shape and rate (1/h).
-func Gamma(shape, rate float64) Distribution { return dist.NewGamma(shape, rate) }
-
-// Erlang returns the k-stage Erlang law: a service procedure of k
-// sequential exponential steps of the given rate.
-func Erlang(k int, rate float64) Distribution { return dist.NewErlang(k, rate) }
-
-// HyperExponential returns a weighted mixture of exponential laws for
-// multi-mode durations (e.g. a wrong pull noticed within minutes or
-// discovered hours later).
-func HyperExponential(weights, rates []float64) Distribution {
-	return dist.NewHyperExponential(weights, rates)
-}
-
-// MixtureOf returns a weighted mixture of arbitrary component laws.
-func MixtureOf(weights []float64, components ...Distribution) Distribution {
-	return dist.NewMixture(weights, components...)
-}
-
-// NormQuantile returns the standard normal inverse CDF at p in (0,1).
-func NormQuantile(p float64) float64 { return dist.NormQuantile(p) }
 
 // ---------------------------------------------------------------------
 // RAID geometry
@@ -442,80 +236,3 @@ func Nines(availability float64) float64 { return stats.Nines(availability) }
 func DowntimeHoursPerYear(availability float64) float64 {
 	return stats.DowntimeHoursPerYear(availability)
 }
-
-// ---------------------------------------------------------------------
-// Reproduction harness
-// ---------------------------------------------------------------------
-
-// ExperimentOptions scales the reproduction experiments.
-type ExperimentOptions = repro.Options
-
-// Experiments lists the available experiment ids ("4".."7",
-// "underestimation", "ablation").
-func Experiments() []string { return repro.All() }
-
-// RunExperiment regenerates one paper figure/claim as tables.
-func RunExperiment(id string, o ExperimentOptions) ([]*report.Table, error) {
-	return repro.Run(id, o)
-}
-
-// RunAllExperiments writes every experiment's tables to w.
-func RunAllExperiments(w io.Writer, o ExperimentOptions) error {
-	return repro.RunAll(w, o)
-}
-
-// ---------------------------------------------------------------------
-// Availability as a service
-// ---------------------------------------------------------------------
-
-// SimFingerprint is the canonical identity of a run's result: a
-// stable hash over every result-affecting input (parameters and
-// options, schedule-only knobs excluded). Equal fingerprints mean
-// byte-identical Summaries, whatever the worker or shard count — it
-// is the exact cache key availserve and SweepResult.Fingerprint use.
-func SimFingerprint(p SimParams, o SimOptions) (string, error) {
-	return shard.FingerprintOf(p, o)
-}
-
-// ShardPool is a persistent worker pool accepting runs over its
-// lifetime: the execution engine behind the availability service.
-type ShardPool = shard.Pool
-
-// ShardRunSpec is one run submitted to a ShardPool.
-type ShardRunSpec = shard.RunSpec
-
-// ShardRunProgress is one progress observation of a pool run (banked
-// iterations, adaptive half-width, convergence).
-type ShardRunProgress = shard.RunProgress
-
-// NewShardPool starts a persistent pool on the given workers and
-// optional elastic worker source. Close the pool to release them.
-func NewShardPool(workers []ShardWorker, source <-chan ShardWorker, logw io.Writer) (*ShardPool, error) {
-	return shard.NewPool(workers, source, logw)
-}
-
-// ShardPoolOptions tunes a persistent pool (degraded-mode in-process
-// fallback when the pool drains).
-type ShardPoolOptions = shard.PoolOptions
-
-// ShardPoolHealth is a snapshot of a pool's capacity to make progress
-// (the readiness probe's substance).
-type ShardPoolHealth = shard.PoolHealth
-
-// NewShardPoolOptions is NewShardPool with explicit tuning.
-func NewShardPoolOptions(workers []ShardWorker, source <-chan ShardWorker, logw io.Writer, opts ShardPoolOptions) (*ShardPool, error) {
-	return shard.NewPoolOptions(workers, source, logw, opts)
-}
-
-// ServiceConfig configures the availability-simulation HTTP service;
-// see internal/serve and cmd/availserve.
-type ServiceConfig = serve.Config
-
-// Service is the availability-simulation HTTP handler: fingerprint-
-// keyed result caching, singleflight dedup of identical requests,
-// streamed progress for adaptive runs, admission control and graceful
-// drain.
-type Service = serve.Server
-
-// NewService builds a Service on a ShardPool.
-func NewService(cfg ServiceConfig) (*Service, error) { return serve.NewServer(cfg) }

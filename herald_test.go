@@ -1,9 +1,18 @@
 package herald
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"herald/internal/dist"
+	"herald/internal/model"
+	"herald/internal/repro"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -28,7 +37,7 @@ func TestFacadeModelConsistency(t *testing.T) {
 	if fo.Availability <= conv.Availability {
 		t.Fatal("fail-over should beat conventional under human error")
 	}
-	dp, err := SolveDualParity(PaperParams(6, 1e-5, 0.01))
+	dp, err := model.DualParity(PaperParams(6, 1e-5, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,7 @@ func TestFacadeSimulationPolicies(t *testing.T) {
 }
 
 func TestFacadeDistributions(t *testing.T) {
-	if Exponential(0.1).Mean() != 10 {
+	if dist.NewExponential(0.1).Mean() != 10 {
 		t.Error("exponential mean wrong")
 	}
 	w := WeibullFromMeanRate(1e-6, 1.48)
@@ -88,39 +97,39 @@ func TestFacadeDistributions(t *testing.T) {
 }
 
 func TestFacadeNewDistributionFamilies(t *testing.T) {
-	if Deterministic(5).Mean() != 5 || Deterministic(5).Var() != 0 {
+	if dist.NewDeterministic(5).Mean() != 5 || dist.NewDeterministic(5).Var() != 0 {
 		t.Error("deterministic moments wrong")
 	}
-	if Uniform(2, 10).Mean() != 6 {
+	if dist.NewUniform(2, 10).Mean() != 6 {
 		t.Error("uniform mean wrong")
 	}
-	if got, want := Lognormal(1, 0.5).Mean(), math.Exp(1.125); math.Abs(got-want) > 1e-12 {
+	if got, want := dist.NewLognormal(1, 0.5).Mean(), math.Exp(1.125); math.Abs(got-want) > 1e-12 {
 		t.Errorf("lognormal mean = %v, want %v", got, want)
 	}
-	if got := LognormalFromMeanMedian(20, 15).Mean(); math.Abs(got-20) > 1e-9 {
+	if got := dist.LognormalFromMeanMedian(20, 15).Mean(); math.Abs(got-20) > 1e-9 {
 		t.Errorf("lognormal-from-moments mean = %v, want 20", got)
 	}
-	if Gamma(2.5, 0.5).Mean() != 5 {
+	if dist.NewGamma(2.5, 0.5).Mean() != 5 {
 		t.Error("gamma mean wrong")
 	}
-	if Erlang(4, 2).Mean() != 2 {
+	if dist.NewErlang(4, 2).Mean() != 2 {
 		t.Error("erlang mean wrong")
 	}
-	h := HyperExponential([]float64{0.5, 0.5}, []float64{1, 0.1})
+	h := dist.NewHyperExponential([]float64{0.5, 0.5}, []float64{1, 0.1})
 	if math.Abs(h.Mean()-5.5) > 1e-12 {
 		t.Errorf("hyper-exponential mean = %v, want 5.5", h.Mean())
 	}
-	m := MixtureOf([]float64{1, 1}, Deterministic(2), Deterministic(4))
+	m := dist.NewMixture([]float64{1, 1}, dist.NewDeterministic(2), dist.NewDeterministic(4))
 	if math.Abs(m.Mean()-3) > 1e-12 {
 		t.Errorf("mixture mean = %v, want 3", m.Mean())
 	}
-	if got := NormQuantile(0.975); math.Abs(got-1.959963984540054) > 1e-9 {
+	if got := dist.NormQuantile(0.975); math.Abs(got-1.959963984540054) > 1e-9 {
 		t.Errorf("NormQuantile(0.975) = %v", got)
 	}
 	// New families plug straight into the simulator.
 	p := PaperSimParams(4, 1e-4, 0.01)
-	p.Repair = Erlang(3, 0.3)
-	p.HERecovery = HyperExponential([]float64{0.8, 0.2}, []float64{2, 0.1})
+	p.Repair = dist.NewErlang(3, 0.3)
+	p.HERecovery = dist.NewHyperExponential([]float64{0.8, 0.2}, []float64{2, 0.1})
 	s, err := Simulate(p, SimOptions{Iterations: 200, MissionTime: 1e5, Seed: 9, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +177,7 @@ func TestFacadeHeadline(t *testing.T) {
 	if ratio < 200 || ratio > 350 {
 		t.Fatalf("underestimation ratio = %v, want ~263", ratio)
 	}
-	mttdl, err := MTTDL(PaperParams(4, 1e-6, 0.01))
+	mttdl, err := model.MTTDL(PaperParams(4, 1e-6, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +187,10 @@ func TestFacadeHeadline(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) < 5 {
+	if len(repro.All()) < 5 {
 		t.Fatal("experiment list too short")
 	}
-	tables, err := RunExperiment("7", ExperimentOptions{MCIterations: 50, MissionTime: 1e5})
+	tables, err := repro.Run("7", repro.Options{MCIterations: 50, MissionTime: 1e5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +204,14 @@ func TestRunAllExperimentsSmoke(t *testing.T) {
 		t.Skip("full experiment sweep in -short mode")
 	}
 	var sb strings.Builder
-	err := RunAllExperiments(&sb, ExperimentOptions{MCIterations: 100, MissionTime: 1e5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range repro.All() {
+		tables, err := repro.Run(id, repro.Options{MCIterations: 100, MissionTime: 1e5, Workers: 2})
+		if err != nil {
+			t.Fatalf("experiment %s: %v", id, err)
+		}
+		for _, tb := range tables {
+			sb.WriteString(tb.String())
+		}
 	}
 	if !strings.Contains(sb.String(), "Fig. 6c") {
 		t.Fatal("missing panel in full run")
@@ -207,5 +221,70 @@ func TestRunAllExperimentsSmoke(t *testing.T) {
 func TestVersion(t *testing.T) {
 	if Version == "" {
 		t.Fatal("empty version")
+	}
+}
+
+// facadeSurface is the root package's exported API: what the programs
+// under examples/ use, plus the types and policy values their
+// signatures need. Everything else is reached through the internal
+// packages (from within this module) or the cmd/ binaries.
+var facadeSurface = []string{
+	"Version",
+	"ConventionalParams", "FailoverParams", "ModelResult", "PaperParams", "PaperFailoverParams",
+	"SolveConventional", "SolveFailover", "UnderestimationRatio", "FleetAvailability",
+	"SimParams", "SimOptions", "SimSummary", "PolicyConventional", "PolicyAutoFailover", "PolicyDualParity",
+	"PaperSimParams", "Simulate", "SimulateSharded", "MaybeShardWorker",
+	"Distribution", "Weibull", "WeibullFromMeanRate",
+	"RAIDConfig", "Fleet", "RAID1Mirror", "RAID5Small", "RAID5Wide", "PlanFleet", "EquivalentCapacity",
+	"Nines", "DowntimeHoursPerYear",
+}
+
+// TestFacadeSurface pins the exported identifiers of the non-test root
+// files to facadeSurface, so widening the facade is a deliberate edit
+// of this list.
+func TestFacadeSurface(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var got []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							got = append(got, s.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								got = append(got, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	want := slices.Clone(facadeSurface)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported root identifiers (%d):\n%v\nwant (%d):\n%v", len(got), got, len(want), want)
 	}
 }

@@ -7,6 +7,12 @@ package herald
 import (
 	"math"
 	"testing"
+
+	"herald/internal/human"
+	"herald/internal/model"
+	"herald/internal/sim"
+	"herald/internal/trace"
+	"herald/internal/xrand"
 )
 
 // TestThreeFormalismsAgree pins the Fig. 2 model's availability across
@@ -20,7 +26,7 @@ func TestThreeFormalismsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dtmc, err := ConventionalHourlyDTMC(p)
+	dtmc, err := model.ConventionalHourlyDTMC(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +56,9 @@ func TestThreeFormalismsAgree(t *testing.T) {
 func TestFieldStudyPipelineEndToEnd(t *testing.T) {
 	const trueRate, trueShape = 2e-5, 1.3
 	hidden := WeibullFromMeanRate(trueRate, trueShape)
-	log := GenerateFailureLog(hidden, 4000, 2e5, 99)
+	log := trace.Generate(hidden, 4000, 2e5, xrand.New(99))
 
-	choice, err := ChooseLifetimeModel(log)
+	choice, err := trace.Choose(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +86,7 @@ func TestFieldStudyPipelineEndToEnd(t *testing.T) {
 // TestProcedureFeedsModel derives hep from a THERP-style procedure and
 // pushes it through the availability model.
 func TestProcedureFeedsModel(t *testing.T) {
-	proc := DiskReplacementProcedure(HEPEnterpriseHigh)
+	proc := human.DiskReplacementProcedure(human.HEPEnterpriseHigh)
 	hep, err := proc.ErrorProbabilityTotal()
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +138,11 @@ func TestMissionConsistencyAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestFleetSimMatchesFleetModel closes the loop between SimulateFleet
+// TestFleetSimMatchesFleetModel closes the loop between sim.RunFleet
 // and the analytic series composition.
 func TestFleetSimMatchesFleetModel(t *testing.T) {
 	const lambda, hep, count = 1e-4, 0.01, 5
-	fleet, err := SimulateFleet(PaperSimParams(4, lambda, hep), count, SimOptions{
+	fleet, err := sim.RunFleet(PaperSimParams(4, lambda, hep), count, SimOptions{
 		Iterations: 3000, MissionTime: 2e5, Seed: 77, Workers: 4, Confidence: 0.99,
 	})
 	if err != nil {

@@ -7,7 +7,6 @@ package repro
 
 import (
 	"fmt"
-	"io"
 
 	"herald/internal/report"
 )
@@ -124,23 +123,4 @@ func wrap(t *report.Table, err error) ([]*report.Table, error) {
 		return nil, err
 	}
 	return []*report.Table{t}, nil
-}
-
-// RunAll executes every experiment and writes the tables to w.
-func RunAll(w io.Writer, o Options) error {
-	for _, id := range All() {
-		tables, err := Run(id, o)
-		if err != nil {
-			return fmt.Errorf("repro: experiment %s: %w", id, err)
-		}
-		for _, t := range tables {
-			if _, err := t.WriteTo(w); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

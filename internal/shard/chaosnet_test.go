@@ -239,7 +239,7 @@ func TestChaosStallTripsHeartbeatDeadline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	joinErr := make(chan error, 1)
-	go func() { joinErr <- Join(ctx, proxy.Addr(), 1, nc) }()
+	go func() { joinErr <- join(ctx, proxy.Addr(), 1, nc) }()
 	var w Worker
 	select {
 	case w = <-joiners:

@@ -117,7 +117,7 @@ func loadCheckpoint(path, fp string, shards []sim.Range, seed uint64, mission fl
 
 	done := make(map[int][]sim.Partial)
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
+	sc.Buffer(make([]byte, 0, 1<<20), maxFrameBytes)
 	line := 0
 	for sc.Scan() {
 		line++

@@ -60,14 +60,14 @@ func (b *joinBackoff) next() time.Duration {
 // session (one whose handshake completed).
 func (b *joinBackoff) reset() { b.attempt = 0 }
 
-// JoinLoop supervises Join: it dials the coordinator, serves shard
+// JoinLoop supervises join: it dials the coordinator, serves shard
 // jobs, and — when the session dies of a transport or handshake error
 // (connection refused, mid-frame cut, stalled peer tripping the read
 // deadline, auth rejection) — reconnects with capped exponential
 // backoff and deterministic jitter (NetConfig.Retry*). A clean
 // coordinator close (EOF between frames: the coordinator finished and
 // closed the link) ends the loop with nil, as does the end of ctx
-// (after the graceful drain Join describes); every other outcome is
+// (after the graceful drain join describes); every other outcome is
 // retried forever, so a worker box outlives coordinator restarts and
 // network partitions. A session that got past
 // the handshake resets the backoff ladder, so a long-healthy worker

@@ -8,7 +8,6 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -33,7 +32,7 @@ type NetConfig struct {
 	// with TLS for that.
 	Token string
 	// TLS, when non-nil, wraps the connection: as tls.Client config on
-	// dialing sides (DialNet, Join) and tls.Server config on listening
+	// dialing sides (DialNet, JoinLoop) and tls.Server config on listening
 	// sides (ListenAndServe, ListenWorkers). See ServerTLS/ClientTLS
 	// for building one from PEM files.
 	TLS *tls.Config
@@ -42,7 +41,7 @@ type NetConfig struct {
 	// heartbeatDeadlineFactor times the advertised interval, so a
 	// half-open connection is detected within that bound. Default 3s.
 	HeartbeatInterval time.Duration
-	// DialTimeout bounds the TCP connect of DialNet and Join (the OS
+	// DialTimeout bounds the TCP connect of DialNet and JoinLoop (the OS
 	// default can be minutes for an unroutable address). Default 10s.
 	DialTimeout time.Duration
 	// HandshakeTimeout bounds the hello exchange (and TLS handshake)
@@ -94,63 +93,21 @@ func (nc NetConfig) withDefaults() NetConfig {
 // Deadline-aware transport with heartbeats
 // ---------------------------------------------------------------------
 
-// netTransport frames the ndjson protocol over a net.Conn with
-// per-operation deadlines and a background heartbeat pinger. Reads are
-// bounded by the peer's advertised heartbeat interval (a silent peer is
-// a dead peer), writes by netWriteTimeout.
-type netTransport struct {
-	mu  sync.Mutex // serializes Send
-	enc *json.Encoder
-	dec *json.Decoder
-	c   net.Conn
-
-	readTimeout time.Duration // guarded by rmu; set once after handshake
-
-	pingStop chan struct{}
-	pingOnce sync.Once
-	once     sync.Once
-}
-
-func newNetTransport(c net.Conn) *netTransport {
-	return &netTransport{
-		enc:      json.NewEncoder(c),
-		dec:      json.NewDecoder(c),
-		c:        c,
-		pingStop: make(chan struct{}),
-	}
-}
-
-func (t *netTransport) Send(m *Message) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_ = t.c.SetWriteDeadline(time.Now().Add(netWriteTimeout))
-	return t.enc.Encode(m)
-}
-
-func (t *netTransport) Recv() (*Message, error) {
-	if t.readTimeout > 0 {
-		_ = t.c.SetReadDeadline(time.Now().Add(t.readTimeout))
-	}
-	var m Message
-	if err := t.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-func (t *netTransport) Close() error {
-	var err error
-	t.once.Do(func() {
-		t.pingOnce.Do(func() { close(t.pingStop) })
-		err = t.c.Close()
-	})
-	return err
+// newNetTransport frames the protocol over a TCP connection, with
+// every write bounded by netWriteTimeout. Reads carry no deadline of
+// their own until startHeartbeat arms the peer's (a silent peer is a
+// dead peer); the handshake runs under setupConn's connection deadline.
+func newNetTransport(c net.Conn) *connTransport {
+	t := newConnTransport(c)
+	t.conn = c
+	t.pingStop = make(chan struct{})
+	return t
 }
 
 // startHeartbeat begins the outgoing ping cadence and arms the read
 // deadline from the peer's advertised interval. Call exactly once,
 // after the handshake and before concurrent use.
-func (t *netTransport) startHeartbeat(own time.Duration, peerMS int) {
+func (t *connTransport) startHeartbeat(own time.Duration, peerMS int) {
 	if peerMS > 0 {
 		t.readTimeout = heartbeatDeadlineFactor * time.Duration(peerMS) * time.Millisecond
 	}
@@ -321,7 +278,7 @@ func handshakeListener(t Transport, nc NetConfig, capacity int) (*Message, error
 // a handshake deadline covering the whole exchange, then the hello
 // handshake in the given role. It returns the transport (heartbeats
 // already started) and the peer's hello.
-func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*netTransport, *Message, error) {
+func setupConn(conn net.Conn, nc NetConfig, dialer bool, capacity int) (*connTransport, *Message, error) {
 	if nc.TLS != nil {
 		if dialer {
 			conn = tls.Client(conn, nc.TLS)
@@ -423,7 +380,7 @@ func ListenAndServe(ctx context.Context, addr string, nc NetConfig, ready func(n
 // Worker-joins-coordinator mode (auto-discovery)
 // ---------------------------------------------------------------------
 
-// Join dials a coordinator (a process running ListenWorkers, e.g.
+// join dials a coordinator (a process running ListenWorkers, e.g.
 // `availsim -shard-listen`), registers with the advertised capacity
 // (0 = all local cores), and serves shard jobs on the connection until
 // the coordinator closes it. It returns nil on a clean close — the
@@ -432,7 +389,7 @@ func ListenAndServe(ctx context.Context, addr string, nc NetConfig, ready func(n
 // its running job, hands queued jobs back to the coordinator as
 // cancelled (they are reassigned), closes the connection and returns
 // nil.
-func Join(ctx context.Context, addr string, capacity int, nc NetConfig) error {
+func join(ctx context.Context, addr string, capacity int, nc NetConfig) error {
 	_, err := joinOnce(ctx, addr, capacity, nc)
 	if ctx.Err() != nil {
 		return nil
@@ -472,7 +429,7 @@ func workerCapacity(capacity int) int {
 }
 
 // ListenWorkers opens a coordinator-side registration listener:
-// workers that Join addr (and pass authentication) are wrapped as
+// workers that join addr (and pass authentication) are wrapped as
 // remote Workers and delivered on the returned channel, ready to be
 // handed to NewPool as its elastic source. Closing the listener stops
 // the accept loop and closes the channel. logw (nil =

@@ -209,9 +209,9 @@ func TestTLSTokenByteIdentity(t *testing.T) {
 }
 
 // TestJoinRoundTrip is the worker-auto-discovery round trip: workers
-// Join a coordinator's registration listener, the elastic pipeline
+// join a coordinator's registration listener, the elastic pipeline
 // runs entirely on joined workers, the Summary is bit-identical, and
-// every Join returns cleanly once the coordinator closes it.
+// every join returns cleanly once the coordinator closes it.
 func TestJoinRoundTrip(t *testing.T) {
 	nc := NetConfig{Token: "join-token"}
 	ln, source, err := ListenWorkers("127.0.0.1:0", nc, io.Discard)
@@ -224,7 +224,7 @@ func TestJoinRoundTrip(t *testing.T) {
 	joinErr := make(chan error, joiners)
 	for i := 0; i < joiners; i++ {
 		go func() {
-			joinErr <- Join(context.Background(), ln.Addr().String(), 1, nc)
+			joinErr <- join(context.Background(), ln.Addr().String(), 1, nc)
 		}()
 	}
 
@@ -271,7 +271,7 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 	defer ln.Close()
 
-	err = Join(context.Background(), ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second})
+	err = join(context.Background(), ln.Addr().String(), 1, NetConfig{Token: "wrong", HandshakeTimeout: 5 * time.Second})
 	if err == nil {
 		t.Fatal("join with wrong token succeeded")
 	}
@@ -280,7 +280,7 @@ func TestJoinRejectedCleanly(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- Join(context.Background(), ln.Addr().String(), 1, nc) }()
+	go func() { done <- join(context.Background(), ln.Addr().String(), 1, nc) }()
 	got, _ := runWith(t, nil, source, io.Discard)
 	if !bytes.Equal(got, baselineBytes(t)) {
 		t.Error("run after rejected joiner is not byte-identical to the baseline")
@@ -453,7 +453,7 @@ func TestElasticJoinerFinishesAfterPoolDeath(t *testing.T) {
 	joinErr := make(chan error, 1)
 	go func() {
 		time.Sleep(8 * hb)
-		joinErr <- Join(context.Background(), ln.Addr().String(), 1, nc)
+		joinErr <- join(context.Background(), ln.Addr().String(), 1, nc)
 	}()
 
 	got, stats := runWith(t, []Worker{frozen}, source, io.Discard)

@@ -257,7 +257,7 @@ func TestJoinCancelDrainsGracefully(t *testing.T) {
 	defer cancel()
 	joinErr := make(chan error, 1)
 	go func() {
-		joinErr <- Join(ctx, ln.Addr().String(), 1, NetConfig{})
+		joinErr <- join(ctx, ln.Addr().String(), 1, NetConfig{})
 	}()
 	joined := <-joiners // the worker's handshake completed
 	defer joined.Close()
@@ -281,10 +281,10 @@ func TestJoinCancelDrainsGracefully(t *testing.T) {
 	select {
 	case err := <-joinErr:
 		if err != nil {
-			t.Errorf("Join returned %v, want nil", err)
+			t.Errorf("join returned %v, want nil", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("Join did not return")
+		t.Fatal("join did not return")
 	}
 }
 

@@ -40,10 +40,13 @@
 package shard
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"herald/internal/dist"
 	"herald/internal/sim"
@@ -256,23 +259,47 @@ type Transport interface {
 	Close() error
 }
 
+// maxFrameBytes bounds one protocol frame on the wire and one record
+// of a checkpoint log: both carry at most one shard's cell partials.
+// A peer that sends a longer line, before or after the hello, fails
+// its connection instead of making this side buffer without limit.
+const maxFrameBytes = 64 << 20
+
+// frameReadBuffer is the read buffer of a transport. A frame that fits
+// decodes straight out of it; longer frames are reassembled, so an
+// oversized frame is rejected after at most maxFrameBytes plus one
+// buffer have been read.
+const frameReadBuffer = 64 << 10
+
 // connTransport implements Transport over any read-write stream (a
 // TCP connection, a child process's stdio pipes, an in-memory pipe in
-// tests).
+// tests). On TCP links (newNetTransport) it also bounds every write by
+// netWriteTimeout and, once startHeartbeat has run, every read by the
+// peer's heartbeat deadline.
 type connTransport struct {
-	mu   sync.Mutex
+	mu   sync.Mutex // serializes Send
 	enc  *json.Encoder
-	dec  *json.Decoder
+	r    *bufio.Reader
+	line []byte // reassembles frames longer than r's buffer
 	c    io.Closer
 	once sync.Once
+
+	// TCP links only; nil on plain streams.
+	conn        net.Conn
+	readTimeout time.Duration // set once by startHeartbeat
+	pingStop    chan struct{}
 }
 
 // NewTransport frames newline-delimited JSON messages over rw. If rw
 // is an io.Closer, Close closes it.
 func NewTransport(rw io.ReadWriter) Transport {
+	return newConnTransport(rw)
+}
+
+func newConnTransport(rw io.ReadWriter) *connTransport {
 	t := &connTransport{
 		enc: json.NewEncoder(rw),
-		dec: json.NewDecoder(rw),
+		r:   bufio.NewReaderSize(rw, frameReadBuffer),
 	}
 	if c, ok := rw.(io.Closer); ok {
 		t.c = c
@@ -283,20 +310,57 @@ func NewTransport(rw io.ReadWriter) Transport {
 func (t *connTransport) Send(m *Message) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.conn != nil {
+		_ = t.conn.SetWriteDeadline(time.Now().Add(netWriteTimeout))
+	}
 	return t.enc.Encode(m)
 }
 
 func (t *connTransport) Recv() (*Message, error) {
+	if t.readTimeout > 0 {
+		_ = t.conn.SetReadDeadline(time.Now().Add(t.readTimeout))
+	}
+	frame, err := t.readFrame()
+	if err != nil {
+		return nil, err
+	}
 	var m Message
-	if err := t.dec.Decode(&m); err != nil {
+	if err := json.Unmarshal(frame, &m); err != nil {
 		return nil, err
 	}
 	return &m, nil
 }
 
+// readFrame returns the next newline-terminated frame, valid until the
+// next call. EOF between frames is io.EOF (a clean close); EOF inside
+// a frame is io.ErrUnexpectedEOF (a cut link).
+func (t *connTransport) readFrame() ([]byte, error) {
+	chunk, err := t.r.ReadSlice('\n')
+	if err == nil {
+		return chunk, nil
+	}
+	t.line = append(t.line[:0], chunk...)
+	for err == bufio.ErrBufferFull && len(t.line) <= maxFrameBytes {
+		chunk, err = t.r.ReadSlice('\n')
+		t.line = append(t.line, chunk...)
+	}
+	switch {
+	case len(t.line) > maxFrameBytes:
+		return nil, fmt.Errorf("shard: frame exceeds %d bytes", maxFrameBytes)
+	case err == io.EOF && len(t.line) > 0:
+		return nil, io.ErrUnexpectedEOF
+	case err != nil:
+		return nil, err
+	}
+	return t.line, nil
+}
+
 func (t *connTransport) Close() error {
 	var err error
 	t.once.Do(func() {
+		if t.pingStop != nil {
+			close(t.pingStop)
+		}
 		if t.c != nil {
 			err = t.c.Close()
 		}

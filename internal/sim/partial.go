@@ -233,40 +233,15 @@ func RunRangeStream(p ArrayParams, o Options, start, end int, out chan<- Partial
 	if err != nil {
 		return err
 	}
-	histMax := histMaxFor(opts)
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	var next, delivered atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ci := int(next.Add(1)) - 1
-				if ci >= len(cells) {
-					return
-				}
-				pt := sc.runCell(cells[ci], opts, histMax)
-				select {
-				case out <- pt:
-					delivered.Add(1)
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if int(delivered.Load()) != len(cells) {
+	delivered := runCells(&p, opts, cells, stop, func(_ int, pt Partial) bool {
+		select {
+		case out <- pt:
+			return true
+		case <-stop:
+			return false
+		}
+	})
+	if delivered != len(cells) {
 		return ErrStopped
 	}
 	return nil
@@ -278,50 +253,61 @@ func RunRangeStream(p ArrayParams, o Options, start, end int, out chan<- Partial
 // o.Iterations is always a valid boundary. Cells are computed in
 // parallel across Options.Workers goroutines, but each cell is
 // accumulated sequentially, so the returned partials do not depend on
-// the schedule.
-//
-// The cell contents are identical to RunRangeStream's; RunRange keeps
-// its own indexed assembly (no channel) so the barrier path stays as
-// cheap as it was before streaming existed.
+// the schedule. The cell contents are identical to RunRangeStream's.
 func RunRange(p ArrayParams, o Options, start, end int) ([]Partial, error) {
 	opts, cells, err := prepareRange(&p, &o, start, end)
 	if err != nil {
 		return nil, err
 	}
-	histMax := histMaxFor(opts)
 	parts := make([]Partial, len(cells))
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers == 1 {
-		// Single-worker runs walk the cells inline: no goroutine,
-		// no atomic cursor. Same scratch, same cell order, so the
-		// output is bit-identical to the concurrent path.
-		sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
-		for ci := range cells {
-			parts[ci] = sc.runCell(cells[ci], opts, histMax)
+	runCells(&p, opts, cells, nil, func(ci int, pt Partial) bool {
+		parts[ci] = pt
+		return true
+	})
+	return parts, nil
+}
+
+// runCells is the one cell loop behind RunRange and RunRangeStream: it
+// computes cells on up to opts.Workers scratches, hands each Partial
+// to emit with its cell index, and returns how many emits succeeded.
+// emit may run concurrently on several workers. A worker abandons the
+// range when emit returns false or stop closes (a nil stop never
+// does). A single worker walks the cells inline, in cell order, with
+// no goroutine; the scratch and cell order are the same either way,
+// so the partials are bit-identical.
+func runCells(p *ArrayParams, opts Options, cells []Range, stop <-chan struct{}, emit func(ci int, pt Partial) bool) int {
+	histMax := histMaxFor(opts)
+	var next, done atomic.Int64
+	work := func() {
+		sc := newScratch(p, opts.Kernel, opts.noBatch, opts.Bias)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ci := int(next.Add(1)) - 1
+			if ci >= len(cells) || !emit(ci, sc.runCell(cells[ci], opts, histMax)) {
+				return
+			}
+			done.Add(1)
 		}
-		return parts, nil
 	}
-	var next atomic.Int64
+	workers := min(opts.Workers, len(cells))
+	if workers == 1 {
+		work()
+		return int(done.Load())
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := newScratch(&p, opts.Kernel, opts.noBatch, opts.Bias)
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(cells) {
-					return
-				}
-				parts[ci] = sc.runCell(cells[ci], opts, histMax)
-			}
+			work()
 		}()
 	}
 	wg.Wait()
-	return parts, nil
+	return int(done.Load())
 }
 
 // Summarize folds partials covering [0, o.Iterations) into a Summary.

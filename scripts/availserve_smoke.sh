@@ -68,8 +68,8 @@ wait $PID || CODE=$?
 grep -q "drained, exiting" "$TMP/serve.log" || { echo "FAIL: no drain message"; cat "$TMP/serve.log"; exit 1; }
 
 echo "--- worker kill-and-restart mid-run ---"
-# A coordinator with only elastic workers; the worker supervises its
-# join (default -join-retry) so the restarted process redials on its own.
+# A coordinator with only elastic workers; -shard-join supervises its
+# join, so the restarted process redials on its own.
 "$TMP/availserve" -listen "127.0.0.1:$PORT2" -shard-listen "127.0.0.1:$SPORT" \
   -shard-token sm0ke -shard-heartbeat 100ms -local-procs 0 2>"$TMP/serve2.log" &
 PID2=$!
