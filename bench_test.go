@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"herald/internal/dist"
 	"herald/internal/model"
 	"herald/internal/repro"
 	"herald/internal/sim"
@@ -158,6 +159,11 @@ func BenchmarkSteadyStateFailover(b *testing.B) {
 func benchMCIteration(b *testing.B, pol sim.Policy, k sim.Kernel) {
 	p := sim.PaperDefaults(4, 1e-5, 0.01)
 	p.Policy = pol
+	benchMCRun(b, p, k)
+}
+
+// benchMCRun runs 100 iterations of p per op on one worker.
+func benchMCRun(b *testing.B, p sim.ArrayParams, k sim.Kernel) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(p, sim.Options{
@@ -179,6 +185,16 @@ func BenchmarkMCIterationConventional(b *testing.B) {
 // walker on the same configuration.
 func BenchmarkMCIterationConventionalGeneric(b *testing.B) {
 	benchMCIteration(b, sim.Conventional, sim.KernelGeneric)
+}
+
+// BenchmarkMCIterationConventionalWeibull measures the generic clock
+// walker on the paper's steepest Fig. 5 pair (Weibull disk lifetimes,
+// rate 2e-5, shape 1.48): the path the Fig. 5 points take, where the
+// Weibull inverse-CDF power dominates.
+func BenchmarkMCIterationConventionalWeibull(b *testing.B) {
+	p := sim.PaperDefaults(4, 2e-5, 0.01)
+	p.TTF = dist.WeibullFromMeanRate(2e-5, 1.48)
+	benchMCRun(b, p, sim.KernelGeneric)
 }
 
 // BenchmarkMCIterationConventionalBias measures the importance-sampled

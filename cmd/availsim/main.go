@@ -91,6 +91,11 @@ func (lf *lawFlags) build(rate float64) (dist.Distribution, error) {
 		if !(lf.shape > 0) || math.IsInf(lf.shape, 0) {
 			return nil, bad("shape must be a positive finite value, got %v", lf.shape)
 		}
+		// Below shape ~0.0059 Gamma(1+1/shape) overflows and the scale
+		// WeibullFromMeanRate derives would be 0, which it refuses.
+		if scale := 1 / (rate * math.Gamma(1+1/lf.shape)); !(scale > 0) || math.IsInf(scale, 0) {
+			return nil, bad("shape %v gives mean 1/%v a degenerate Weibull scale %v", lf.shape, rate, scale)
+		}
 		return dist.WeibullFromMeanRate(rate, lf.shape), nil
 	case "lognormal":
 		if !(lf.sigma > 0) || math.IsInf(lf.sigma, 0) {

@@ -34,3 +34,23 @@ func TestParseBiasFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestWeibullShapeRejectsDegenerateScale: a Weibull shape whose
+// derived scale is not finite and positive (Gamma(1+1/shape) overflows
+// below shape ~0.0059) is a flag error naming the flag, not a law that
+// always draws 0 or a constructor panic.
+func TestWeibullShapeRejectsDegenerateScale(t *testing.T) {
+	for _, tag := range []string{"", "repair-"} {
+		lf := lawFlags{family: "weibull", shape: 0.004, flagTag: tag}
+		d, err := lf.build(1e-5)
+		if err == nil {
+			t.Errorf("-%sshape 0.004 built %v", tag, d)
+		} else if !strings.Contains(err.Error(), "-"+tag+"shape") {
+			t.Errorf("-%sshape 0.004: error does not name the flag: %v", tag, err)
+		}
+		lf.shape = 1.48
+		if _, err := lf.build(1e-5); err != nil {
+			t.Errorf("-%sshape 1.48: %v", tag, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -361,6 +362,70 @@ func TestHistogramBinsBounded(t *testing.T) {
 	}
 	if n := bw.jobCount(); n != 0 {
 		t.Errorf("rejected request still dispatched %d shard jobs", n)
+	}
+}
+
+// TestRunIterationBudget: a /v1/run request asking for one iteration
+// over the per-run bound, directly or through an adaptive max_iters,
+// gets 422 naming the budget before any shard job is dispatched.
+func TestRunIterationBudget(t *testing.T) {
+	bw := newBlockingWorker()
+	close(bw.release)
+	hs, _, _ := newTestServer(t, serve.Config{}, bw)
+	over := runOpts(testOptions)
+	over.Iterations = serve.MaxRunIterations + 1
+	adaptive := runOpts(testOptions)
+	adaptive.TargetHalfWidth, adaptive.MaxIters = 1e-9, serve.MaxRunIterations+1
+	for name, o := range map[string]serve.RunOptions{"iterations": over, "max_iters": adaptive} {
+		body := wireRequest(t, testParams, o, 0)
+		resp, err := http.Post(hs.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("over-budget %s: status = %d, want 422", name, resp.StatusCode)
+		}
+		if !strings.Contains(string(raw), "run over iteration budget") {
+			t.Errorf("over-budget %s: body %q does not name the budget", name, raw)
+		}
+	}
+	if n := bw.jobCount(); n != 0 {
+		t.Errorf("rejected requests still dispatched %d shard jobs", n)
+	}
+}
+
+// TestSweepPointIterationBudget: one over-budget point refuses the
+// whole sweep with 422 naming that point, before any point runs.
+func TestSweepPointIterationBudget(t *testing.T) {
+	bw := newBlockingWorker()
+	close(bw.release)
+	hs, _, _ := newTestServer(t, serve.Config{}, bw)
+	wp, err := shard.EncodeParams(testParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := runOpts(testOptions)
+	over.Iterations = serve.MaxRunIterations + 1
+	body, _ := json.Marshal(serve.SweepRequest{Points: []serve.RunRequest{
+		{Params: wp, Options: runOpts(testOptions)},
+		{Params: wp, Options: over},
+	}})
+	resp, err := http.Post(hs.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("over-budget sweep point: status = %d, want 422", resp.StatusCode)
+	}
+	if !strings.Contains(string(raw), "point 1: run over iteration budget") {
+		t.Errorf("body %q does not name point 1 and the budget", raw)
+	}
+	if n := bw.jobCount(); n != 0 {
+		t.Errorf("refused sweep still dispatched %d shard jobs", n)
 	}
 }
 

@@ -366,6 +366,28 @@ func compile(req *RunRequest) (shard.RunSpec, string, error) {
 	return shard.RunSpec{Params: p, Options: o, Shards: req.Shards}, fp, nil
 }
 
+// maxRunIterations bounds the iterations one run, or one sweep point,
+// may ask for: its IterationCap (MaxIters when set, else Iterations).
+// It is 100x the paper's 1e6 iterations per point; the Fig. 5 Weibull
+// law (2e-5, 1.48) at 1e6 h on the generic kernel runs ~11.6 us per
+// iteration on one 2 vCPU Xeon core, so a run at the bound is ~20
+// CPU-minutes. Histogram bins are not priced: sim.MaxHistogramBins
+// and the canonical cell count already bound that memory. A sweep is
+// bounded per point, so one request may ask for MaxSweepPoints times
+// this. The bound is on the work asked for, not on wall time (see
+// RunTimeout).
+const maxRunIterations = 100_000_000
+
+// checkRunIterations refuses, with 422, options whose iteration cap
+// exceeds maxRunIterations.
+func checkRunIterations(o *sim.Options) *httpError {
+	if n := o.IterationCap(); n > maxRunIterations {
+		return &httpError{code: http.StatusUnprocessableEntity,
+			msg: fmt.Sprintf("run over iteration budget: %d iterations exceeds %d", n, maxRunIterations)}
+	}
+	return nil
+}
+
 // acquire claims an execution slot, queueing up to MaxQueued waiters.
 // Beyond the queue bound it refuses deterministically with 429. client,
 // when per-client admission is configured, additionally charges the
@@ -564,6 +586,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{code: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
+	if herr := checkRunIterations(&spec.Options); herr != nil {
+		s.writeError(w, herr)
+		return
+	}
 	if r.URL.Query().Get("stream") == "1" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
 		s.streamRun(w, r, fp, &spec)
@@ -705,6 +731,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				code: http.StatusBadRequest,
 				msg:  fmt.Sprintf("point %d: %v", i, err),
 			})
+			return
+		}
+		if herr := checkRunIterations(&spec.Options); herr != nil {
+			herr.msg = fmt.Sprintf("point %d: %s", i, herr.msg)
+			s.writeError(w, herr)
 			return
 		}
 		specs[i] = spec
